@@ -1,5 +1,6 @@
 """Tests for ranges, incidence cosines, and PCA normal estimation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -100,6 +101,27 @@ def test_knn_excludes_self_not_duplicates():
     nbrs = _knn_indices(pts, 1)
     assert nbrs[0, 0] == 1
     assert nbrs[1, 0] == 0
+
+
+def _golden_knn_clouds():
+    """A sphere, an exact-tie grid plane and a thin far-offset cloud with duplicates."""
+    sphere = unit_sphere_cloud(2048, seed=31)
+    i, j = np.meshgrid(np.arange(64), np.arange(32), indexing="ij")
+    plane = np.column_stack([i.ravel(), np.zeros(i.size), j.ravel()]) * 2.0 ** -6
+    rng = np.random.default_rng(32)
+    flat = rng.uniform(0.0, 1.0, (1000, 3)) * [1.0, 1e-3, 1.0] + [1e3, -2e3, 5e2]
+    flat = np.vstack([flat, flat[::40]])
+    return sphere, plane, flat
+
+
+def test_knn_golden_digest():
+    # neighbour arrays of the original brute-force search, frozen: any change
+    # to the neighbour sets, their order or the tie rule changes this digest
+    h = hashlib.sha256()
+    for pts in _golden_knn_clouds():
+        h.update(_knn_indices(pts, 16).astype("<i8").tobytes())
+    assert h.hexdigest() == (
+        "18237c910088faacee3b4e65e9555d6644c39713fe510fc6f6e261053ad92473")
 
 
 def test_normals_axis_aligned_plane_exact():
