@@ -10,6 +10,8 @@ Exit codes: 0 success, 1 data or runtime failure, 2 usage error.
 """
 
 import argparse
+import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -25,6 +27,16 @@ def _parse_sensor(text):
         return tuple(float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad sensor coordinate in {text!r}") from None
+
+
+def _parse_scale(text):
+    try:
+        scale = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad scale {text!r}") from None
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise argparse.ArgumentTypeError(f"scale must be finite and > 0, got {text!r}")
+    return scale
 
 
 def build_parser():
@@ -45,7 +57,7 @@ def build_parser():
                    help="normal estimation neighborhood size (default 16)")
     p.add_argument("--sensor", type=_parse_sensor, default=None, metavar="X,Y,Z",
                    help="sensor position (default 0,-2,0)")
-    p.add_argument("--scale", type=float, default=None,
+    p.add_argument("--scale", type=_parse_scale, default=None,
                    help="uniform coordinate scale applied before corruption")
     p.add_argument("--threads", type=int, default=None,
                    help="worker cap (default: available parallelism)")
@@ -79,24 +91,29 @@ def build_parser():
 
 
 def _resolve_tier(args):
-    """Preset name, or a config file path when the name matches no preset."""
+    """Preset name, or a config file path when the name matches no preset,
+    with the command-line overrides applied; None when neither matches.
+
+    Raises ValueError when an override fails TierConfig validation.
+    """
     if args.tier in pipeline.TIER_NAMES:
         config = pipeline.preset_config(args.tier)
     elif Path(args.tier).is_file():
         config = pipeline.read_tier_config(args.tier)
     else:
         return None
-    if args.seed is not None:
-        config.global_seed = args.seed
-    if args.normal_k is not None:
-        config.normal_k = args.normal_k
-    if args.sensor is not None:
-        config.sensor = args.sensor
-    return config
+    overrides = {"global_seed": args.seed, "normal_k": args.normal_k,
+                 "sensor": args.sensor}
+    return dataclasses.replace(
+        config, **{key: val for key, val in overrides.items() if val is not None})
 
 
 def _cmd_corrupt(args):
-    config = _resolve_tier(args)
+    try:
+        config = _resolve_tier(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if config is None:
         print(f"error: {args.tier!r} is neither a preset tier "
               f"({', '.join(pipeline.TIER_NAMES)}) nor a config file",

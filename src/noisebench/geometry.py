@@ -11,9 +11,13 @@ import numpy as np
 
 from .errors import DegenerateRay, InsufficientPoints
 
-# chunk size for the pairwise-distance sweep in k-NN search; bounds peak
-# memory at roughly chunk * n * 8 bytes
-_KNN_CHUNK = 512
+# distance entries (query rows x candidates) computed at once; bounds the
+# scratch memory of the kNN search at a few arrays of 8 MB each
+_KNN_BLOCK = 1 << 20
+
+# rounding: relative error of one operation, absolute error on underflow
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 
 class NormalEstimate(NamedTuple):
@@ -75,31 +79,121 @@ def incidence_cosine(points, normals, sensor):
 def _knn_indices(pts, k):
     """Indices of the k nearest neighbors of every point (self excluded).
 
-    Neighbors are ordered by squared distance; exact ties are broken by the
-    lower point index (stable sort), which keeps results reproducible across
-    platforms. Brute force in chunks: clouds here are benchmark-sized
-    (thousands of points), where this beats tree construction and has no
-    tie-ordering ambiguity.
+    Distance is the squared-norm expansion |a|^2 + |b|^2 - 2 a.b, clipped
+    at 0, with each dot product taken as three products and two sums, so a
+    pair's value does not depend on where it is computed and a point's
+    duplicates are at exactly 0. Neighbors are ordered by that value; exact
+    ties go to the lower point index. Coordinates must be finite.
+
+    Exact uniform-grid search. Points are bucketed into cubic cells sized
+    to hold about k points each, and a point's candidates are the points in
+    the 3x3x3 cells around its own. Its k smallest candidates are the
+    global answer when the k-th distance is below the squared distance from
+    the point to the outside of that block, less the expansion's absolute
+    rounding error (about eps * max |p|^2, which grows with the distance
+    from the origin). A block side on the bounding box is infinitely far.
+    Rejected points are searched again with cells twice as large; once a
+    block spans the bounding box the search is brute force, so the loop
+    ends and the result is always exact. Cost is O(n k) time on evenly
+    spread clouds and O(n^2) at worst (one dense cluster plus far
+    outliers); scratch memory is bounded by _KNN_BLOCK.
     """
     n = len(pts)
-    sq = np.einsum("ij,ij->i", pts, pts)
+    if not 0 < k < n:
+        raise ValueError(f"need 0 < k < n, got k={k} for n={n}")
+    xyz = np.ascontiguousarray(pts.T)
+    sq = xyz[0] * xyz[0] + xyz[1] * xyz[1] + xyz[2] * xyz[2]
+    lo = pts.min(axis=0)
+    extent = pts.max(axis=0) - lo
+    # error bound for a computed d^2 (under 20 eps max|p|^2) plus that of
+    # the squared block distance (under 60 eps max|p|^2), with margin
+    slack = 128.0 * (_EPS * sq.max() + _TINY)
+    # cell side that puts k points in a cell when they fill the bounding
+    # box's 1-, 2- or 3-d hull; the largest of the three sizes flat and thin
+    # clouds for their real extent. It only affects speed.
+    side = np.sort(extent)[::-1]
+    h = max((np.prod(side[:d]) * k / n) ** (1.0 / d) for d in (1, 2, 3)) or 1.0
+
     out = np.empty((n, k), dtype=np.intp)
-    for start in range(0, n, _KNN_CHUNK):
-        stop = min(start + _KNN_CHUNK, n)
-        block = pts[start:stop]
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (block @ pts.T)
-        np.maximum(d2, 0.0, out=d2)  # clip rounding negatives
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")
-        out[start:stop] = order[:, :k]
+    todo = np.arange(n)
+    while todo.size:
+        todo = _grid_pass(xyz, sq, k, todo, out, lo, extent, h, slack)
+        h *= 2.0
     return out
+
+
+def _grid_pass(xyz, sq, k, rows, out, lo, extent, h, slack):
+    """One grid search with cell side h for `rows`; returns the rejected rows."""
+    ncell = np.floor(extent / h).astype(np.int64) + 1
+    t = (xyz.T - lo) / h                                 # cell units
+    cell = np.minimum(np.floor(t).astype(np.int64), ncell - 1)
+    key = (cell[:, 0] * ncell[1] + cell[:, 1]) * ncell[2] + cell[:, 2]
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    rows = rows[np.argsort(key[rows], kind="stable")]
+
+    # squared distance from each point to the outside of its block, less
+    # the slack; a side whose next cell is off the grid is infinitely far
+    below = np.where(cell - 1 > 0, t - (cell - 1), np.inf)
+    above = np.where(cell + 1 < ncell - 1, (cell + 2) - t, np.inf)
+    bound = (np.minimum(below, above).min(axis=1) * h) ** 2 - slack
+
+    col = np.empty(len(sq), dtype=np.intp)  # point -> column in `cand`
+    group_start = np.flatnonzero(np.diff(key[rows], prepend=-1))
+    rejected = []
+    for g0, g1 in zip(group_start, np.append(group_start[1:], len(rows))):
+        cx, cy, cz = cell[rows[g0]]
+        z0, z1 = max(cz - 1, 0), min(cz + 1, ncell[2] - 1)
+        spans = []
+        for x in range(max(cx - 1, 0), min(cx + 2, ncell[0])):
+            for y in range(max(cy - 1, 0), min(cy + 2, ncell[1])):
+                base = (x * ncell[1] + y) * ncell[2]
+                spans.append(order[np.searchsorted(sorted_key, base + z0):
+                                   np.searchsorted(sorted_key, base + z1, "right")])
+        cand = np.concatenate(spans)
+        if len(cand) <= k:
+            rejected.append(rows[g0:g1])
+            continue
+        col[cand] = np.arange(len(cand))
+        step = max(1, _KNN_BLOCK // len(cand))
+        for b0 in range(g0, g1, step):
+            blk = rows[b0:min(b0 + step, g1)]
+            kth = _nearest_in(xyz, sq, k, blk, cand, col[blk], out)
+            rejected.append(blk[kth >= bound[blk]])
+    return np.concatenate(rejected) if rejected else rows[:0]
+
+
+def _nearest_in(xyz, sq, k, blk, cand, self_col, out):
+    """Write the k nearest of `cand` to each point of `blk`; return the k-th d^2."""
+    # a.b as three products and two sums, the same for every pair wherever
+    # it is computed; BLAS would round it differently per call shape
+    (xb, yb, zb), (xc, yc, zc) = xyz[:, blk], xyz[:, cand]
+    dot = np.multiply.outer(xb, xc)
+    dot += np.multiply.outer(yb, yc)
+    dot += np.multiply.outer(zb, zc)
+    d2 = np.add.outer(sq[blk], sq[cand])
+    dot *= 2.0
+    d2 -= dot
+    np.maximum(d2, 0.0, out=d2)  # clip rounding negatives
+    m, width = d2.shape
+    d2[np.arange(m), self_col] = np.inf
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    # every candidate up to the k-th value, ordered by (row, d^2, index)
+    flat = np.flatnonzero(d2 <= kth[:, None])
+    r, idx = flat // width, cand[flat % width]
+    first = np.searchsorted(r, np.arange(m))
+    pick = np.lexsort((idx, d2.ravel()[flat], r))[first[:, None] + np.arange(k)]
+    out[blk] = idx[pick]
+    return kth
 
 
 def estimate_normals(points, k, sensor):
     """Per-point surface normals from PCA over k-nearest-neighbor sets.
 
-    For each point the k nearest neighbors (Euclidean, ties to the lower
-    index) are gathered, and the normal is the eigenvector of the smallest
+    For each point the k nearest neighbors are gathered: by squared
+    Euclidean distance, self excluded, exact ties to the lower index (see
+    _knn_indices for the exact search, O(n k) on evenly spread clouds and
+    O(n^2) at worst). The normal is the eigenvector of the smallest
     eigenvalue of the neighborhood covariance. Normals are flipped to face
     the sensor: dot(normal, sensor - point) >= 0.
 
@@ -108,7 +202,8 @@ def estimate_normals(points, k, sensor):
     sets included); those points fall back to the unit vector pointing at
     the sensor and are flagged.
 
-    :param points: (n, 3) cloud; n must exceed k.
+    :param points: (n, 3) cloud of finite coordinates (ValueError
+        otherwise); n must exceed k.
     :param k: neighborhood size, at least 3.
     :param sensor: sensor position, 3-vector.
     :returns: NormalEstimate(vectors, degenerate).
@@ -120,6 +215,8 @@ def estimate_normals(points, k, sensor):
     n = len(pts)
     if n <= k:
         raise InsufficientPoints(f"need more than k={k} points, got {n}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
 
     nbrs = _knn_indices(pts, k)
     nbhd = pts[nbrs]                                   # (n, k, 3)

@@ -18,6 +18,7 @@ File formats (all UTF-8 text):
 
 import csv
 import hashlib
+import math
 import os
 import struct
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
@@ -69,6 +70,8 @@ class TierConfig:
         self.sensor = tuple(float(v) for v in self.sensor)
         if len(self.sensor) != 3:
             raise ValueError("sensor must be a 3-vector")
+        if not all(map(math.isfinite, self.sensor)):
+            raise ValueError(f"sensor must be finite, got {self.sensor}")
         if self.normal_k < 3:
             raise ValueError(f"normal_k must be >= 3, got {self.normal_k}")
         zero = NoiseParams(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -96,7 +99,7 @@ def sample_seed(global_seed, sample_id):
 
 
 def read_cloud(path):
-    """Parse a clean cloud file into an (n, 3) float64 array."""
+    """Parse a clean cloud file into an (n, 3) float64 array of finite values."""
     points = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -108,10 +111,14 @@ def read_cloud(path):
                 raise ParseError(f"expected 3 fields, got {len(parts)}",
                                  path=path, line=lineno)
             try:
-                points.append([float(p) for p in parts])
+                row = [float(p) for p in parts]
             except ValueError:
                 raise ParseError(f"bad float in {parts!r}", path=path,
                                  line=lineno) from None
+            if not all(map(math.isfinite, row)):
+                raise ParseError(f"non-finite coordinate in {parts!r}",
+                                 path=path, line=lineno)
+            points.append(row)
     if not points:
         raise EmptyCloud(f"{path}: no points")
     return np.asarray(points, dtype=np.float64)
@@ -201,7 +208,9 @@ class Manifest:
 
 
 def read_manifest(path):
-    """Parse a manifest CSV; sample ids must be unique, labels non-negative."""
+    """Parse a manifest CSV; labels must be non-negative, and sample ids unique
+    plain file names (not empty, '.' or '..', no '/' or '\\'), since each id
+    names its output file inside the tier directory."""
     path = Path(path)
     entries = []
     seen = set()
@@ -217,6 +226,9 @@ def read_manifest(path):
                 raise ParseError(f"expected 3 columns, got {len(row)}",
                                  path=path, line=lineno)
             sid, label_s, rel = row
+            if sid in ("", ".", "..") or "/" in sid or "\\" in sid:
+                raise ParseError(f"sample_id {sid!r} is not a plain file name",
+                                 path=path, line=lineno)
             if sid in seen:
                 raise ParseError(f"duplicate sample_id {sid!r}", path=path, line=lineno)
             seen.add(sid)
@@ -275,9 +287,12 @@ def read_tier_config(path, name="custom"):
     sensor = (values.get("sensor_x", DEFAULT_SENSOR[0]),
               values.get("sensor_y", DEFAULT_SENSOR[1]),
               values.get("sensor_z", DEFAULT_SENSOR[2]))
-    return TierConfig(name=name, params=params, sensor=sensor,
-                      normal_k=values.get("normal_k", DEFAULT_NORMAL_K),
-                      global_seed=values.get("global_seed", 0))
+    try:
+        return TierConfig(name=name, params=params, sensor=sensor,
+                          normal_k=values.get("normal_k", DEFAULT_NORMAL_K),
+                          global_seed=values.get("global_seed", 0))
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path) from None
 
 
 @dataclass

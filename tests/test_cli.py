@@ -118,6 +118,32 @@ def test_corrupt_sensor_and_scale_flags(tmp_path):
     assert far["s0000"] > ref["s0000"]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--normal-k", "2"],
+    ["--scale", "0"],
+    ["--scale", "-1.5"],
+    ["--scale", "nan"],
+    ["--scale", "inf"],
+    ["--sensor", "nan,-2,0"],
+])
+def test_corrupt_invalid_override_is_usage_error(tmp_path, capsys, flags):
+    manifest = write_benchmark_manifest(tmp_path, 1, 48, seed=88)
+    out = tmp_path / "out"
+    assert main(["corrupt", str(manifest), "light", str(out)] + flags) == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_corrupt_unsafe_sample_id_writes_nothing(tmp_path, capsys):
+    manifest = write_benchmark_manifest(tmp_path, 1, 48, seed=89)
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write("../../escaped,0,clouds/s0000.xyz\n")
+    out = tmp_path / "a" / "b" / "out"
+    assert main(["corrupt", str(manifest), "light", str(out)]) == 1
+    assert "sample_id" in capsys.readouterr().err
+    assert list(tmp_path.rglob("escaped*")) == []
+
+
 def test_evaluate_end_to_end(tmp_path, capsys):
     manifest = write_benchmark_manifest(tmp_path, 4, 48, seed=86)
     main(["corrupt", str(manifest), "light", str(tmp_path / "out"), "--seed", "5"])

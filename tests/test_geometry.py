@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import unit_sphere_cloud
@@ -90,6 +93,16 @@ def test_knn_ties_break_to_lower_index():
     assert list(nbrs2[0]) == [1, 2]
 
 
+def test_knn_coincident_points_tie_to_lower_index():
+    # every pair is an exact tie; a.b from BLAS used to round differently
+    # per matrix position, so point 0's nearest was point 16, not point 1
+    rng = np.random.default_rng(22)
+    pts = np.tile(rng.uniform(-5.0, 5.0, 3), (20, 1))
+    nbrs = _knn_indices(pts, 3)
+    assert list(nbrs[0]) == [1, 2, 3]
+    assert all(list(row) == [0, 1, 2] for row in nbrs[3:])
+
+
 def test_knn_excludes_self_not_duplicates():
     # a coincident pair: each twin's nearest neighbor is the other twin
     pts = np.array([
@@ -101,6 +114,86 @@ def test_knn_excludes_self_not_duplicates():
     nbrs = _knn_indices(pts, 1)
     assert nbrs[0, 0] == 1
     assert nbrs[1, 0] == 0
+
+
+def _brute_force_knn(pts, k):
+    """The original O(n^2 log n) search, kept as the reference.
+
+    Full distance rows and a stable argsort, so exact ties go to the lower
+    index. d^2 is the same per-pair expansion as the grid search's; the
+    original took a.b from BLAS, whose rounding depends on the call's shape.
+    """
+    n = len(pts)
+    x, y, z = pts.T
+    sq = x * x + y * y + z * z
+    out = np.empty((n, k), dtype=np.intp)
+    for start in range(0, n, 512):
+        stop = min(start + 512, n)
+        dot = (x[start:stop, None] * x + y[start:stop, None] * y
+               + z[start:stop, None] * z)
+        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * dot
+        np.maximum(d2, 0.0, out=d2)
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        out[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return out
+
+
+@st.composite
+def knn_cases(draw):
+    """(cloud, k) pairs from the shapes that stress the grid search."""
+    k = draw(st.integers(1, 16))
+    n = draw(st.one_of(st.just(k + 1), st.integers(k + 1, 150)))
+    kind = draw(st.sampled_from(["floats", "coincident", "duplicates", "grid",
+                                 "collinear", "outliers", "offset"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "floats":
+        pts = draw(arrays(np.float64, (n, 3),
+                          elements=st.floats(-1e3, 1e3, allow_nan=False)))
+    elif kind == "coincident":  # zero extent on every axis
+        pts = np.tile(rng.uniform(-5.0, 5.0, 3), (n, 1))
+    elif kind == "duplicates":
+        pts = rng.uniform(-1.0, 1.0, (n, 3))[rng.integers(0, max(1, n // 4), n)]
+    elif kind == "grid":  # every distance exact, many exact ties
+        pts = rng.integers(-4, 5, (n, 3)) * 2.0 ** -6
+        pts[:, rng.integers(0, 3)] = 0.0
+    elif kind == "collinear":
+        pts = rng.integers(-20, 21, n)[:, None] * rng.integers(-3, 4, 3) * 0.25
+    elif kind == "outliers":  # dense cluster: far points need the retry
+        pts = rng.normal(0.0, 1e-2, (n, 3))
+        far = rng.random(n) < 0.1
+        pts[far] = rng.uniform(-1e3, 1e3, (far.sum(), 3))
+    else:  # rounding error of the expansion is ~eps * 1e6 here
+        pts = rng.uniform(0.0, 1.0, (n, 3)) + rng.uniform(-1e3, 1e3, 3)
+    return pts, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(knn_cases())
+def test_knn_matches_brute_force(case):
+    pts, k = case
+    assert_array_equal(_knn_indices(pts, k), _brute_force_knn(pts, k))
+
+
+def test_knn_matches_brute_force_large_clouds():
+    # clouds big enough for many cells, split row blocks and retries
+    rng = np.random.default_rng(12)
+    cluster = np.vstack([rng.normal(0.0, 1e-3, (3000, 3)),
+                         rng.uniform(-50.0, 50.0, (40, 3))])
+    i, j = np.meshgrid(np.arange(60), np.arange(50), indexing="ij")
+    tilted = np.column_stack([i.ravel(), j.ravel(), i.ravel() + j.ravel()]) * 0.125
+    # at 1e7 from the origin the expansion's rounding error (~eps * 1e14)
+    # is as large as the neighbour distances themselves; the block test
+    # must allow for it or rows with a closer point outside pass
+    far = rng.uniform(0.0, 1.0, (1500, 3)) + 1e7 * rng.uniform(0.5, 1.0, 3)
+    for pts in (unit_sphere_cloud(3000, seed=11) + 1e3, cluster, tilted, far):
+        assert_array_equal(_knn_indices(pts, 16), _brute_force_knn(pts, 16))
+
+
+def test_knn_rejects_k_out_of_range():
+    pts = unit_sphere_cloud(5, seed=13)
+    for k in (0, 5, 6):
+        with pytest.raises(ValueError):
+            _knn_indices(pts, k)
 
 
 def _golden_knn_clouds():
@@ -217,3 +310,11 @@ def test_normals_input_validation():
     # one more point than k is enough
     est = estimate_normals(unit_sphere_cloud(11, seed=9), 10, (0.0, -2.0, 0.0))
     assert est.vectors.shape == (11, 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_normals_reject_non_finite(bad):
+    pts = unit_sphere_cloud(40, seed=10)
+    pts[7, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        estimate_normals(pts, 8, sensor=(0.0, -2.0, 0.0))

@@ -1,5 +1,6 @@
 """Tests for tier presets, seeding, file formats, and batch generation."""
 
+import csv
 import hashlib
 import struct
 
@@ -88,6 +89,15 @@ def test_read_cloud_errors(tmp_path):
         read_cloud(empty)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+def test_read_cloud_rejects_non_finite(tmp_path, token):
+    path = tmp_path / "nonfinite.xyz"
+    path.write_text(f"1.0 2.0 3.0\n# comment\n1.0 {token} 3.0\n")
+    with pytest.raises(ParseError) as info:
+        read_cloud(path)
+    assert info.value.line == 3
+
+
 def test_annotated_roundtrip(tmp_path):
     pts = unit_sphere_cloud(128, seed=41)
     ann = corrupt_cloud(pts, (0.0, -2.0, 0.0), tier_params("heavy"), k=16, seed=3)
@@ -138,6 +148,18 @@ def test_manifest_validation(tmp_path):
         read_manifest(neg)
 
 
+@pytest.mark.parametrize("sid", ["", ".", "..", "../../escaped", "a/b", "a\\b"])
+def test_manifest_rejects_unsafe_sample_id(tmp_path, sid):
+    # sample ids name output files, so they must stay inside the tier dir
+    path = tmp_path / "m.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["sample_id", "label", "path"],
+                                  ["ok", 0, "x.xyz"], [sid, 0, "y.xyz"]])
+    with pytest.raises(ParseError) as info:
+        read_manifest(path)
+    assert info.value.line == 3
+
+
 def test_tier_config_file(tmp_path):
     path = tmp_path / "tier.cfg"
     path.write_text(
@@ -160,6 +182,14 @@ def test_tier_config_file(tmp_path):
 def test_tier_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "tier.cfg"
     path.write_text("sigma=1.0\n")
+    with pytest.raises(ParseError):
+        read_tier_config(path)
+
+
+@pytest.mark.parametrize("text", ["normal_k=2\n", "sensor_x=nan\n"])
+def test_tier_config_invalid_value_is_parse_error(tmp_path, text):
+    path = tmp_path / "tier.cfg"
+    path.write_text(text)
     with pytest.raises(ParseError):
         read_tier_config(path)
 
