@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -229,6 +230,64 @@ def test_stratify_end_to_end(tmp_path, capsys):
     assert q0[3] == "4"
     # low-sigma group is tier A: all correct at confidence 0.8
     assert float(q0[4]) == pytest.approx(0.2, abs=1e-12)
+
+
+def _score_tier(rng, ids, noise):
+    """40-class prediction rows plus rounded sigmas for one tier.
+
+    Every third row puts its confidence exactly on a bin edge (k/15, or 0.5
+    split between two tied classes); sigmas are rounded to 4 decimals so
+    pooled sigmas tie across and within tiers.
+    """
+    rows, sigmas = [], {}
+    for i, sid in enumerate(ids):
+        top = int(rng.integers(40))
+        if i % 6 == 0:
+            conf = int(rng.integers(2, 16)) / 15
+            probs = np.insert((1.0 - conf) * rng.dirichlet([4.0] * 39), top, conf)
+        elif i % 6 == 3:
+            conf = 0.5
+            probs = np.zeros(40)
+            probs[[top, (top + 1 + int(rng.integers(39))) % 40]] = 0.5
+        else:
+            probs = rng.dirichlet([0.3] * 40)
+            conf = probs.max()
+            top = int(probs.argmax())
+        label = top if rng.random() < conf else int(rng.integers(40))
+        rows.append((sid, label, probs))
+        sigma = noise * (1.5 - conf) + abs(rng.normal(0.0, 0.002))
+        sigmas[sid] = round(float(sigma), 4)
+    return rows, sigmas
+
+
+def test_score_golden_digest(tmp_path, monkeypatch, capsys):
+    # frozen output bytes of evaluate on two tiers and stratify over both
+    # (inputs drawn with numpy 2.4.6); relative paths keep the printed
+    # "wrote ..." lines machine-independent
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(96)
+    ids = [f"s{i:03d}" for i in rng.permutation(180)]
+    for tier, noise in (("a", 0.01), ("b", 0.03)):
+        rows, sigmas = _score_tier(rng, ids, noise)
+        write_predictions(f"p_{tier}.csv", rows, classes=40)
+        with open(f"s_{tier}.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["sample_id", "label", "mean_sigma", "mean_mu",
+                             "outlier_count"])
+            for sid, sigma in sorted(sigmas.items()):
+                writer.writerow([sid, 0, repr(sigma), "0.0", 0])
+        assert main(["evaluate", f"p_{tier}.csv", f"s_{tier}.csv",
+                     "--out", f"out/{tier}"]) == 0
+    assert main(["stratify", "--preds", "p_a.csv", "p_b.csv",
+                 "--sigmas", "s_a.csv", "s_b.csv", "--out", "out/strat"]) == 0
+    stdout = capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.joinpath("out").rglob("*")
+                  if p.is_file()) == ["curve.csv", "curve.csv", "report.txt",
+                                      "report.txt", "stratified.csv"]
+    assert tree_digest(tmp_path / "out") == (
+        "7294078d4fe95c53116d80835a41f6547fb63fbbc600fc14ba4b653fbfb87147")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (
+        "0230b8be6f07e26c7fc8d3169b866841a1b072c911d2746d408fffe24b138b42")
 
 
 def test_stratify_mismatched_lists_exit_2(tmp_path, capsys):
