@@ -4,10 +4,10 @@ from .errors import (DegenerateRay, EmptyCloud, EmptyInput, GenerationError,
                      InsufficientPoints, MissingSigma, NoiseBenchError,
                      ParseError, TooFewValues, UnknownTier, ZeroVariance)
 from .geometry import NormalEstimate, estimate_normals, incidence_cosine, range_to_sensor
-from .metrics import (CalibrationBin, EvalReport, PredictionRecord, QuartileEce,
-                      accuracy, ece, evaluate, pearson, predicted_uncertainty,
-                      quartile_bins, read_predictions, read_sigma_summary,
-                      reliability_curve, stratified_ece, uncertainty_correlation)
+from .metrics import (CalibrationBin, EvalReport, Predictions, QuartileEce,
+                      accuracy, ece, evaluate, pearson, quartile_bins,
+                      read_predictions, read_sigma_summary, reliability_curve,
+                      stratified_ece, uncertainty_correlation)
 from .noise import (AnnotatedCloud, NoiseParams, angle_factor, bias_mu,
                     bounding_box, corrupt_cloud, inject_outliers, perturb_point,
                     point_sigma, sigma_range)

@@ -133,18 +133,10 @@ def _cmd_corrupt(args):
 
 
 def _cmd_evaluate(args):
-    records = metrics.read_predictions(args.predictions)
+    preds = metrics.read_predictions(args.predictions)
     sigma_by_id = metrics.read_sigma_summary(args.sigma_summary)
-    report = metrics.evaluate(records, sigma_by_id, bins=args.bins)
-    if report.pearson_r is None:
-        pearson_text = "undefined(zero_variance)"
-    else:
-        pearson_text = repr(report.pearson_r)
-    print(f"accuracy={report.accuracy!r}")
-    print(f"ece={report.ece!r}")
-    print(f"pearson_r={pearson_text}")
-    print(f"n={report.n}")
-    print(f"bins={report.bin_count}")
+    report = metrics.evaluate(preds, sigma_by_id, bins=args.bins)
+    print(report.text(), end="")
     if args.out:
         metrics.write_report(args.out, report)
         print(f"wrote {Path(args.out) / 'report.txt'}")

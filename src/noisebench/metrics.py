@@ -1,18 +1,20 @@
 """Classifier evaluation: accuracy, calibration, uncertainty correlation.
 
-Confidence is the max class probability; the predicted label is the argmax
-(ties go to the lowest class index). Expected calibration error uses M
-equal-width confidence bins over (0, 1]: bin i covers (i/M, (i+1)/M], with
-bin 0 closed at 0 so confidence 0 still lands somewhere. Empty bins
-contribute nothing:
+Predictions are one column-wise `Predictions` bundle, validated once:
+probabilities finite and non-negative, rows summing to 1 within 1e-6,
+labels indexing a class. Confidence is the row's max probability; the
+predicted label is its argmax (ties go to the lowest class index). Expected
+calibration error uses M equal-width confidence bins over (0, 1]: bin i
+covers (i/M, (i+1)/M], with bin 0 closed at 0 so confidence 0 still lands
+somewhere. Empty bins contribute nothing:
 
     ECE = sum_i  n_i / N * |acc_i - conf_i|
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -24,48 +26,59 @@ DEFAULT_BINS = 15
 DEFAULT_QUARTILES = 4
 
 
-@dataclass
-class PredictionRecord:
-    """One classifier output row: sample id, true label, class probabilities."""
+class InvalidRow(ValueError):
+    """A prediction row failed validation; `row` is its 0-based index."""
 
-    sample_id: str
-    true_label: int
+    def __init__(self, row, message):
+        super().__init__(message)
+        self.row = row
+
+
+@dataclass(eq=False)
+class Predictions:
+    """Classifier outputs as parallel arrays: ids (N,), labels (N,), probs (N, C).
+
+    Construction also sets `confidence` (N,), the row max, and `correct`
+    (N,), first argmax == label. It raises InvalidRow, a ValueError, naming
+    the first row that breaks the rules in the module docstring.
+    """
+
+    ids: np.ndarray
+    labels: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self):
+        self.ids = np.asarray(self.ids, dtype=object)
+        self.labels = np.asarray(self.labels)
         self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.ndim != 1 or self.probs.size < 2:
-            raise ValueError("probs must be a vector with at least 2 classes")
-        if np.any(self.probs < 0.0):
-            raise ValueError(f"{self.sample_id}: negative probability")
-        total = float(self.probs.sum())
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"{self.sample_id}: probabilities sum to {total}, not 1")
-        if not 0 <= self.true_label < self.probs.size:
-            raise ValueError(f"{self.sample_id}: true_label {self.true_label} "
-                             f"out of range for {self.probs.size} classes")
+        n, classes = self.probs.shape if self.probs.ndim == 2 else (0, 0)
+        if (classes < 2 or self.ids.shape != (n,) or self.labels.shape != (n,)
+                or (n and self.labels.dtype.kind not in "iu")):
+            raise ValueError("need an (N, C) probs matrix with C >= 2, N ids "
+                             "and N integer labels")
+        # "not <=" also rejects a NaN sum, i.e. any non-finite probability
+        total = self.probs.sum(axis=1)
+        bad = (~(np.abs(total - 1.0) <= 1e-6) | (self.probs < 0.0).any(axis=1)
+               | (self.labels < 0) | (self.labels >= classes))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvalidRow(i, f"row {i} (sample {self.ids[i]!r}): need finite "
+                             f"probabilities >= 0 summing to 1 and 0 <= true_label "
+                             f"< {classes}, got sum {float(total[i])!r}, min "
+                             f"{float(self.probs[i].min())!r}, "
+                             f"true_label {self.labels[i]}")
+        self.confidence = self.probs.max(axis=1)
+        self.correct = self.probs.argmax(axis=1) == self.labels
 
-    @property
-    def confidence(self):
-        return float(self.probs.max())
-
-    @property
-    def predicted_label(self):
-        # argmax takes the first maximum, i.e. the lowest class index on ties
-        return int(np.argmax(self.probs))
-
-
-def predicted_uncertainty(record):
-    """Model's own uncertainty for one prediction: 1 - max probability."""
-    return 1.0 - record.confidence
+    def __len__(self):
+        return self.labels.size
 
 
-def accuracy(records):
-    """Fraction of records whose argmax matches the true label."""
-    if not records:
+def accuracy(preds):
+    """Fraction of rows whose argmax matches the true label."""
+    if not len(preds):
         raise EmptyInput("no prediction records")
-    hits = sum(1 for r in records if r.predicted_label == r.true_label)
-    return hits / len(records)
+    return int(preds.correct.sum()) / len(preds)
 
 
 @dataclass(frozen=True)
@@ -79,15 +92,13 @@ class CalibrationBin:
     mean_acc: float   # 0.0 when the bin is empty
 
 
-def _conf_correct(records):
-    conf = np.array([r.confidence for r in records], dtype=np.float64)
-    correct = np.array([r.predicted_label == r.true_label for r in records],
-                       dtype=np.float64)
-    return conf, correct
+def reliability_curve(preds, bins=DEFAULT_BINS):
+    """Per-bin counts, mean confidence and mean accuracy."""
+    return _curve(preds.confidence, preds.correct, bins)
 
 
-def reliability_curve(records, bins=DEFAULT_BINS):
-    """Per-bin counts, mean confidence and mean accuracy.
+def _curve(conf, correct, bins):
+    """Reliability curve of parallel confidence/correctness arrays.
 
     Bin membership is decided by direct comparison against the bin edges
     i/bins, never by rescaling, so boundary confidences land exactly where
@@ -95,11 +106,9 @@ def reliability_curve(records, bins=DEFAULT_BINS):
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    if not records:
+    if not conf.size:
         raise EmptyInput("no prediction records")
-    conf, correct = _conf_correct(records)
-    edges = np.arange(1, bins) / bins
-    idx = np.digitize(conf, edges, right=True)
+    idx = np.digitize(conf, np.arange(1, bins) / bins, right=True)
 
     out = []
     for i in range(bins):
@@ -112,10 +121,9 @@ def reliability_curve(records, bins=DEFAULT_BINS):
     return out
 
 
-def ece(records, bins=DEFAULT_BINS):
+def ece(preds, bins=DEFAULT_BINS):
     """Expected calibration error, computed from the reliability curve."""
-    curve = reliability_curve(records, bins)
-    return ece_from_curve(curve, sum(b.count for b in curve))
+    return ece_from_curve(reliability_curve(preds, bins), len(preds))
 
 
 def ece_from_curve(curve, total):
@@ -130,9 +138,10 @@ def pearson(xs, ys):
     """Pearson correlation of two equal-length real vectors.
 
     Two-pass, mean-centered computation; the result is clipped to [-1, 1]
-    to absorb last-ulp rounding. Raises ZeroVariance when either input is
-    constant: correlation is undefined there, and callers must surface that
-    rather than coerce it to a number.
+    to absorb last-ulp rounding. Raises ValueError on a non-finite value,
+    and ZeroVariance when either input is constant: correlation is
+    undefined there, and callers must surface that rather than coerce it to
+    a number.
     """
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
@@ -140,6 +149,8 @@ def pearson(xs, ys):
         raise ValueError("xs and ys must be equal-length 1-D vectors")
     if x.size < 2:
         raise ValueError("need at least 2 values")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("xs and ys must be finite")
     xc = x - x.mean()
     yc = y - y.mean()
     sxx = float(xc @ xc)
@@ -150,21 +161,24 @@ def pearson(xs, ys):
     return min(1.0, max(-1.0, r))
 
 
-def uncertainty_correlation(records, sigma_by_id):
-    """Correlate predicted uncertainty (1 - confidence) with per-sample sigma.
-
-    sigma_by_id maps sample_id to the sample's mean ground-truth noise
-    scale. Every record must have an entry; fewer than two records leaves
-    the correlation undefined.
-    """
-    missing = sorted(r.sample_id for r in records if r.sample_id not in sigma_by_id)
+def _sigma_column(preds, sigma_by_id):
+    """Each row's sigma_by_id[sample_id]; MissingSigma lists absent ids."""
+    missing = sorted(sid for sid in preds.ids if sid not in sigma_by_id)
     if missing:
         raise MissingSigma(missing)
-    if len(records) < 2:
+    return np.array([sigma_by_id[sid] for sid in preds.ids], dtype=np.float64)
+
+
+def uncertainty_correlation(preds, sigma_by_id):
+    """Correlate predicted uncertainty (1 - confidence) with per-sample sigma.
+
+    Every row needs a sigma entry; fewer than two rows leaves the
+    correlation undefined.
+    """
+    sigma = _sigma_column(preds, sigma_by_id)
+    if len(preds) < 2:
         raise ZeroVariance("need at least 2 records to correlate")
-    xs = [sigma_by_id[r.sample_id] for r in records]
-    ys = [predicted_uncertainty(r) for r in records]
-    return pearson(xs, ys)
+    return pearson(sigma, 1.0 - preds.confidence)
 
 
 def quartile_bins(values, groups=DEFAULT_QUARTILES):
@@ -188,15 +202,11 @@ def quartile_bins(values, groups=DEFAULT_QUARTILES):
     order = np.argsort(v, kind="stable")
     base, extra = divmod(v.size, groups)
     sizes = [base + 1] * extra + [base] * (groups - extra)
-
     assignment = np.empty(v.size, dtype=np.intp)
-    boundaries = []
-    pos = 0
-    for g, size in enumerate(sizes):
-        members = order[pos:pos + size]
-        assignment[members] = g
-        boundaries.append((float(v[members[0]]), float(v[members[-1]])))
-        pos += size
+    assignment[order] = np.repeat(np.arange(groups), sizes)
+    ends = np.cumsum(sizes)
+    boundaries = [(float(v[order[end - size]]), float(v[order[end - 1]]))
+                  for size, end in zip(sizes, ends)]
     return boundaries, assignment
 
 
@@ -214,31 +224,27 @@ class QuartileEce:
 def stratified_ece(tier_sets, quartiles=DEFAULT_QUARTILES, bins=DEFAULT_BINS):
     """ECE stratified by ground-truth noise scale, pooled across tiers.
 
-    tier_sets is a sequence of (records, sigma_by_id) pairs, one per noise
-    tier. All (record, sigma) pairs are pooled, ranked by sigma (ties
-    resolved by sample id, then input order), and split into near-equal
-    rank groups; quartile 0 holds the least-noisy samples. Each group's
-    records are scored with ece(..., bins).
+    tier_sets is a sequence of (Predictions, sigma_by_id) pairs, one per
+    noise tier. All rows are pooled, ranked by sigma (ties resolved by
+    sample id, then input order), and split into near-equal rank groups;
+    quartile 0 holds the least-noisy samples. Each group's rows are scored
+    with the same binning as ece(..., bins).
     """
-    pooled = []
-    for records, sigma_by_id in tier_sets:
-        missing = sorted(r.sample_id for r in records if r.sample_id not in sigma_by_id)
-        if missing:
-            raise MissingSigma(missing)
-        pooled.extend((sigma_by_id[r.sample_id], r) for r in records)
-    if not pooled:
+    tiers = [(p.ids, _sigma_column(p, sigma_by_id), p.confidence, p.correct)
+             for p, sigma_by_id in tier_sets]
+    if not sum(len(ids) for ids, *_ in tiers):
         raise EmptyInput("no prediction records in any tier")
-
-    # pre-sort by sample id so the stable sigma sort breaks ties on it
-    pooled.sort(key=lambda pair: pair[1].sample_id)
-    sigmas = [s for s, _ in pooled]
-    boundaries, assignment = quartile_bins(sigmas, groups=quartiles)
+    ids, sigma, conf, correct = (np.concatenate(col) for col in zip(*tiers))
+    # order by sample id first so the stable sigma sort breaks ties on it
+    by_id = np.argsort(ids, kind="stable")
+    boundaries, assignment = quartile_bins(sigma[by_id], groups=quartiles)
 
     out = []
     for g, (lo, hi) in enumerate(boundaries):
-        members = [pooled[i][1] for i in np.flatnonzero(assignment == g)]
-        out.append(QuartileEce(quartile=g, sigma_lo=lo, sigma_hi=hi,
-                               count=len(members), ece=ece(members, bins)))
+        members = by_id[assignment == g]  # pooled rows, in sample-id order
+        curve = _curve(conf[members], correct[members], bins)
+        out.append(QuartileEce(quartile=g, sigma_lo=lo, sigma_hi=hi, count=members.size,
+                               ece=ece_from_curve(curve, members.size)))
     return out
 
 
@@ -249,43 +255,41 @@ class EvalReport:
     accuracy: float
     ece: float
     curve: list
-    pearson_r: Optional[float]  # None when correlation is undefined
+    pearson_r: float | None  # None when correlation is undefined
     n: int
     bin_count: int
-    stratified: Optional[list] = None
+
+    def text(self):
+        """The key=value lines of report.txt, which evaluate also prints."""
+        pearson_r = ("undefined(zero_variance)" if self.pearson_r is None
+                     else fmt(self.pearson_r))
+        return (f"accuracy={fmt(self.accuracy)}\nece={fmt(self.ece)}\n"
+                f"pearson_r={pearson_r}\nn={self.n}\nbins={self.bin_count}\n")
 
 
-def evaluate(records, sigma_by_id, bins=DEFAULT_BINS, tier_sets=None,
-             quartiles=DEFAULT_QUARTILES):
+def evaluate(preds, sigma_by_id, bins=DEFAULT_BINS):
     """Score one prediction set against its sigma summary.
 
     A constant input on either side of the uncertainty correlation (for
     example the zero-noise tier, where sigma is identically 0) yields
-    pearson_r=None; accuracy and calibration are still reported. Passing
-    tier_sets additionally computes the pooled sigma-stratified ECE.
+    pearson_r=None; accuracy and calibration are still reported.
     """
-    curve = reliability_curve(records, bins)
-    report = EvalReport(
-        accuracy=accuracy(records),
-        ece=ece_from_curve(curve, len(records)),
-        curve=curve,
-        pearson_r=None,
-        n=len(records),
-        bin_count=bins,
-    )
+    curve = reliability_curve(preds, bins)
     try:
-        report.pearson_r = uncertainty_correlation(records, sigma_by_id)
+        pearson_r = uncertainty_correlation(preds, sigma_by_id)
     except ZeroVariance:
-        report.pearson_r = None
-    if tier_sets is not None:
-        report.stratified = stratified_ece(tier_sets, quartiles=quartiles,
-                                           bins=bins)
-    return report
+        pearson_r = None
+    return EvalReport(accuracy=accuracy(preds), ece=ece_from_curve(curve, len(preds)),
+                      curve=curve, pearson_r=pearson_r, n=len(preds),
+                      bin_count=bins)
 
 
 def read_predictions(path):
-    """Parse a predictions CSV: sample_id,true_label,p_0,...,p_{C-1}."""
-    records = []
+    """Parse a predictions CSV (sample_id,true_label,p_0,...,p_{C-1}).
+
+    A row that fails Predictions validation is reported at its file line.
+    """
+    rows = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -302,14 +306,18 @@ def read_predictions(path):
                 raise ParseError(f"expected {classes + 2} columns, got {len(row)}",
                                  path=path, line=lineno)
             try:
-                record = PredictionRecord(sample_id=row[0], true_label=int(row[1]),
-                                          probs=[float(p) for p in row[2:]])
+                rows.append((lineno, row[0], int(row[1]), [float(p) for p in row[2:]]))
             except ValueError as exc:
                 raise ParseError(str(exc), path=path, line=lineno) from None
-            records.append(record)
-    if not records:
+    if not rows:
         raise EmptyInput(f"{path}: no prediction rows")
-    return records
+    lines, ids, labels, probs = zip(*rows)
+    try:
+        return Predictions(ids, labels, probs)
+    except ValueError as exc:
+        row = getattr(exc, "row", None)
+        raise ParseError(str(exc), path=path,
+                         line=None if row is None else lines[row]) from None
 
 
 def read_sigma_summary(path):
@@ -333,45 +341,39 @@ def read_sigma_summary(path):
             if sid in table:
                 raise ParseError(f"duplicate sample_id {sid!r}", path=path, line=lineno)
             try:
-                table[sid] = float(row[2])
+                sigma = float(row[2])
             except ValueError:
-                raise ParseError(f"bad mean_sigma {row[2]!r}", path=path,
-                                 line=lineno) from None
+                sigma = math.nan
+            if not math.isfinite(sigma):
+                raise ParseError(f"bad mean_sigma {row[2]!r}", path=path, line=lineno)
+            table[sid] = sigma
     if not table:
         raise EmptyInput(f"{path}: no summary rows")
     return table
 
 
 def write_report(out_dir, report):
-    """Write report.txt and curve.csv (plus stratified.csv when present)."""
+    """Write report.txt and curve.csv."""
     out_dir = Path(out_dir)
     with atomic_text(out_dir / "report.txt") as fh:
-        fh.write(f"accuracy={fmt(report.accuracy)}\n")
-        fh.write(f"ece={fmt(report.ece)}\n")
-        if report.pearson_r is None:
-            fh.write("pearson_r=undefined(zero_variance)\n")
-        else:
-            fh.write(f"pearson_r={fmt(report.pearson_r)}\n")
-        fh.write(f"n={report.n}\n")
-        fh.write(f"bins={report.bin_count}\n")
+        fh.write(report.text())
     write_curve(out_dir / "curve.csv", report.curve)
-    if report.stratified is not None:
-        write_stratified(out_dir / "stratified.csv", report.stratified)
 
 
 def write_curve(path, curve):
-    with atomic_text(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "count", "mean_conf", "mean_acc"])
-        for b in curve:
-            writer.writerow([fmt(b.lo), fmt(b.hi), b.count, fmt(b.mean_conf),
-                             fmt(b.mean_acc)])
+    _write_csv(path, ["bin_lo", "bin_hi", "count", "mean_conf", "mean_acc"],
+               ([fmt(b.lo), fmt(b.hi), b.count, fmt(b.mean_conf), fmt(b.mean_acc)]
+                for b in curve))
 
 
 def write_stratified(path, rows):
+    _write_csv(path, ["quartile", "sigma_lo", "sigma_hi", "count", "ece"],
+               ([q.quartile, fmt(q.sigma_lo), fmt(q.sigma_hi), q.count, fmt(q.ece)]
+                for q in rows))
+
+
+def _write_csv(path, header, rows):
     with atomic_text(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["quartile", "sigma_lo", "sigma_hi", "count", "ece"])
-        for q in rows:
-            writer.writerow([q.quartile, fmt(q.sigma_lo), fmt(q.sigma_hi),
-                             q.count, fmt(q.ece)])
+        writer.writerow(header)
+        writer.writerows(rows)

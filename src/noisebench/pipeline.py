@@ -30,7 +30,7 @@ import numpy as np
 
 from ._fileio import atomic_text, fmt
 from .errors import EmptyCloud, GenerationError, ParseError, UnknownTier
-from .noise import NoiseParams, corrupt_cloud
+from .noise import _SEED_MASK, NoiseParams, corrupt_cloud
 
 DEFAULT_SENSOR = (0.0, -2.0, 0.0)
 DEFAULT_NORMAL_K = 16
@@ -44,8 +44,6 @@ _PRESETS = {
 }
 
 TIER_NAMES = tuple(_PRESETS)
-
-_SEED_MASK = (1 << 64) - 1
 
 
 def tier_params(name):
@@ -197,10 +195,9 @@ class SampleEntry:
 
 @dataclass
 class Manifest:
-    """Dataset manifest: sample entries plus the inferred class count."""
+    """Dataset manifest: sample entries, their paths relative to base_dir."""
 
     entries: list
-    class_count: int
     base_dir: Path = Path(".")
 
     def __len__(self):
@@ -243,8 +240,7 @@ def read_manifest(path):
             entries.append(SampleEntry(sample_id=sid, label=label, path=rel))
     if not entries:
         raise ParseError("manifest has no samples", path=path)
-    class_count = max(e.label for e in entries) + 1
-    return Manifest(entries=entries, class_count=class_count, base_dir=path.parent)
+    return Manifest(entries=entries, base_dir=path.parent)
 
 
 _TIER_CONFIG_KEYS = ("a", "b", "c", "k", "p_out", "sensor_x", "sensor_y",

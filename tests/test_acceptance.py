@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from conftest import tree_digest, unit_sphere_cloud, write_benchmark_manifest
-from noisebench import (PredictionRecord, ZeroVariance, bias_mu, corrupt_cloud,
+from noisebench import (Predictions, ZeroVariance, bias_mu, corrupt_cloud,
                         ece, estimate_normals, evaluate, inject_outliers,
                         bounding_box, pearson, perturb_point, point_sigma,
                         quartile_bins, read_annotated, stratified_ece,
@@ -111,19 +111,24 @@ def test_c06_corrupt_determinism_across_workers(tmp_path):
     assert time.monotonic() - start < 30.0
 
 
-def _ece_oracle(records, bins):
-    """Independent direct-summation ECE: interval tests and plain sums."""
-    n = len(records)
+def _ece_oracle(rows, bins):
+    """Independent direct-summation ECE: interval tests and plain sums.
+
+    rows are (true_label, probs); confidence is the row max and the
+    prediction its first argmax.
+    """
+    scored = [(max(probs), list(probs).index(max(probs)) == label)
+              for label, probs in rows]
+    n = len(scored)
     total = 0.0
     for i in range(bins):
         lo, hi = i / bins, (i + 1) / bins
-        members = [r for r in records
-                   if (lo < r.confidence <= hi) or (i == 0 and r.confidence <= hi)]
+        members = [(c, ok) for c, ok in scored
+                   if (lo < c <= hi) or (i == 0 and c <= hi)]
         if not members:
             continue
-        conf = sum(r.confidence for r in members) / len(members)
-        acc = sum(1.0 for r in members
-                  if r.predicted_label == r.true_label) / len(members)
+        conf = sum(c for c, _ in members) / len(members)
+        acc = sum(1.0 for _, ok in members if ok) / len(members)
         total += len(members) / n * abs(acc - conf)
     return total
 
@@ -135,10 +140,11 @@ def test_c07_ece_oracle_equivalence():
         n = int(rng.integers(1, 33))
         classes = int(rng.integers(2, 6))
         bins = 15 if trial % 2 else int(rng.integers(1, 21))
-        records = [PredictionRecord(f"t{trial}_{i}", int(rng.integers(classes)),
-                                    rng.dirichlet([1.0] * classes))
-                   for i in range(n)]
-        assert abs(ece(records, bins=bins) - _ece_oracle(records, bins)) <= 1e-12
+        rows = [(int(rng.integers(classes)), rng.dirichlet([1.0] * classes))
+                for i in range(n)]
+        labels, probs = zip(*rows)
+        records = Predictions([f"t{trial}_{i}" for i in range(n)], labels, probs)
+        assert abs(ece(records, bins=bins) - _ece_oracle(rows, bins)) <= 1e-12
     assert time.monotonic() - start < 5.0
 
 
@@ -148,16 +154,16 @@ def test_c08_calibrated_simulator_convergence():
     n = 100_000
     q = rng.uniform(0.5, 1.0, n)
     correct = rng.random(n) < q
-    records = [PredictionRecord(f"x{i}", 0 if correct[i] else 1,
-                                (q[i], 1.0 - q[i])) for i in range(n)]
+    records = Predictions([f"x{i}" for i in range(n)], np.where(correct, 0, 1),
+                          np.column_stack([q, 1.0 - q]))
     assert ece(records, bins=15) <= 0.01
     assert time.monotonic() - start < 5.0
 
 
 def test_c09_correlation_endpoints(tmp_path):
     confs = [0.95, 0.9, 0.8, 0.7, 0.6]
-    records = [PredictionRecord(f"s{i}", 0, (c, 1.0 - c))
-               for i, c in enumerate(confs)]
+    records = Predictions([f"s{i}" for i in range(len(confs))], [0] * len(confs),
+                          [(c, 1.0 - c) for c in confs])
     # predicted uncertainty exactly equals mean sigma
     sigma_up = {f"s{i}": 1.0 - c for i, c in enumerate(confs)}
     assert uncertainty_correlation(records, sigma_up) == pytest.approx(1.0, abs=1e-9)
@@ -195,8 +201,9 @@ def test_c10_stratification_oracle():
 
     # two-tier block construction with hand-computed per-quartile gaps
     def block(prefix, sigma0, n_correct_of_4):
-        records = [PredictionRecord(f"{prefix}{i}", 0 if i % 4 < n_correct_of_4 else 1,
-                                    (0.8, 0.2)) for i in range(8)]
+        records = Predictions([f"{prefix}{i}" for i in range(8)],
+                              [0 if i % 4 < n_correct_of_4 else 1 for i in range(8)],
+                              [(0.8, 0.2)] * 8)
         table = {f"{prefix}{i}": sigma0 + 0.001 * i for i in range(8)}
         return records, table
 

@@ -200,6 +200,22 @@ def test_evaluate_malformed_predictions_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pred_row,sigma", [
+    ("a,0,nan,1.0", "0.01"),
+    ("a,0,1.0,0.0", "nan"),
+])
+def test_evaluate_non_finite_input_exit_1(tmp_path, capsys, pred_row, sigma):
+    preds = tmp_path / "preds.csv"
+    preds.write_text(f"sample_id,true_label,p_0,p_1\nb,1,0.2,0.8\n{pred_row}\n")
+    summary = tmp_path / "summary.csv"
+    summary.write_text("sample_id,label,mean_sigma,mean_mu,outlier_count\n"
+                       f"b,1,0.02,0.0,0\na,0,{sigma},0.0,0\n")
+    assert main(["evaluate", str(preds), str(summary)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ".csv:3:" in captured.err
+
+
 def test_stratify_end_to_end(tmp_path, capsys):
     preds_a = tmp_path / "preds_a.csv"
     write_predictions(preds_a, [(f"a{i}", 0, [0.8, 0.15, 0.05]) for i in range(4)])

@@ -1,62 +1,82 @@
 """Tests for accuracy, calibration error, correlation, and stratification."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from noisebench import (EmptyInput, MissingSigma, ParseError, PredictionRecord,
+from noisebench import (EmptyInput, MissingSigma, ParseError, Predictions,
                         TooFewValues, ZeroVariance, accuracy, ece, evaluate,
-                        pearson, predicted_uncertainty, quartile_bins,
-                        read_predictions, read_sigma_summary, reliability_curve,
-                        stratified_ece, uncertainty_correlation)
-from noisebench.metrics import ece_from_curve, write_report
+                        pearson, quartile_bins, read_predictions,
+                        read_sigma_summary, reliability_curve, stratified_ece,
+                        uncertainty_correlation)
+from noisebench.metrics import InvalidRow, ece_from_curve, write_report
 
 
-def rec(sid, true_label, probs):
-    return PredictionRecord(sample_id=sid, true_label=true_label, probs=probs)
+def preds(rows):
+    """Predictions from (sample_id, true_label, probs) rows."""
+    ids, labels, probs = zip(*rows)
+    return Predictions(ids, labels, probs)
 
 
 def two_class(sid, conf, correct):
-    """Record with confidence `conf` on class 0; correct controls the label."""
-    return rec(sid, 0 if correct else 1, [conf, 1.0 - conf])
+    """Row with confidence `conf` on class 0; correct controls the label."""
+    return (sid, 0 if correct else 1, [conf, 1.0 - conf])
 
 
-def test_prediction_record_validation():
+def test_predictions_validation():
     with pytest.raises(ValueError):
-        rec("a", 0, [0.7, 0.2])           # does not sum to 1
+        preds([("a", 0, [0.7, 0.2])])           # does not sum to 1
     with pytest.raises(ValueError):
-        rec("a", 0, [1.2, -0.2])          # negative entry
+        preds([("a", 0, [1.2, -0.2])])          # negative entry
     with pytest.raises(ValueError):
-        rec("a", 2, [0.5, 0.5])           # label out of range
+        preds([("a", 2, [0.5, 0.5])])           # label out of range
     with pytest.raises(ValueError):
-        rec("a", 0, [1.0])                # fewer than 2 classes
+        preds([("a", 0, [1.0])])                # fewer than 2 classes
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            preds([("a", 0, [bad, 1.0])])       # non-finite entry
+    with pytest.raises(ValueError):
+        preds([("a", 0.5, [0.5, 0.5])])         # non-integer label
+    with pytest.raises(ValueError):
+        Predictions(["a", "b"], [0], [[0.5, 0.5]])  # ragged columns
+
+    # the error names the first bad row, whatever its fault
+    rows = [two_class(f"s{i}", 0.75, True) for i in range(6)]
+    rows[4] = ("s4", 0, [0.7, 0.2])
+    rows[2] = ("s2", 0, [0.5, math.nan])
+    with pytest.raises(InvalidRow) as info:
+        preds(rows)
+    assert info.value.row == 2
+    assert "'s2'" in str(info.value)
 
 
 def test_confidence_and_argmax_tie_break():
-    r = rec("a", 0, [0.4, 0.4, 0.2])
-    assert r.confidence == 0.4
-    assert r.predicted_label == 0  # tie resolves to the lowest class index
-
-
-def test_predicted_uncertainty_uniform_forty_classes():
-    r = rec("a", 0, [1.0 / 40.0] * 40)
-    assert predicted_uncertainty(r) == 0.975
+    p = preds([("a", 0, [0.4, 0.4, 0.2]), ("b", 1, [0.4, 0.4, 0.2])])
+    assert list(p.confidence) == [0.4, 0.4]
+    # the tie resolves to the lowest class index, so only "a" is correct
+    assert list(p.correct) == [True, False]
+    assert len(p) == 2
+    # predicted uncertainty (1 - confidence) of a uniform 40-class row
+    assert 1.0 - preds([("a", 0, [1.0 / 40.0] * 40)]).confidence[0] == 0.975
 
 
 def test_accuracy():
-    records = [two_class("a", 0.9, True), two_class("b", 0.8, False),
-               two_class("c", 0.7, True), two_class("d", 0.6, True)]
+    records = preds([two_class("a", 0.9, True), two_class("b", 0.8, False),
+                     two_class("c", 0.7, True), two_class("d", 0.6, True)])
     assert accuracy(records) == 0.75
     with pytest.raises(EmptyInput):
-        accuracy([])
+        accuracy(Predictions([], [], np.empty((0, 2))))
 
 
 def test_ece_single_bin_example():
     # three records at confidence 0.8, two correct: ECE = |2/3 - 0.8|
-    records = [two_class("a", 0.8, True), two_class("b", 0.8, True),
-               two_class("c", 0.8, False)]
+    records = preds([two_class("a", 0.8, True), two_class("b", 0.8, True),
+                     two_class("c", 0.8, False)])
     expected = abs(2.0 / 3.0 - 0.8)
     assert ece(records, bins=1) == pytest.approx(expected, abs=1e-12)
     # same value with 15 bins: all three land in the same bin
@@ -64,21 +84,21 @@ def test_ece_single_bin_example():
 
 
 def test_ece_perfectly_confident_and_correct():
-    records = [rec(str(i), i % 3, np.eye(3)[i % 3]) for i in range(9)]
+    records = preds([(str(i), i % 3, np.eye(3)[i % 3]) for i in range(9)])
     assert ece(records, bins=15) == 0.0
 
 
 def test_ece_bin_edges_are_half_open():
     # confidence exactly 0.5 belongs to bin 0 of 2: (0, 0.5]
-    records = [two_class("a", 0.5, True)]
+    records = preds([two_class("a", 0.5, True)])
     curve = reliability_curve(records, bins=2)
     assert curve[0].count == 1 and curve[1].count == 0
     # nudged up, it moves to bin 1: (0.5, 1]
-    records = [two_class("b", 0.5 + 1e-9, True)]
+    records = preds([two_class("b", 0.5 + 1e-9, True)])
     curve = reliability_curve(records, bins=2)
     assert curve[0].count == 0 and curve[1].count == 1
     # confidence 1.0 stays in the top bin
-    records = [two_class("c", 1.0, True)]
+    records = preds([two_class("c", 1.0, True)])
     assert reliability_curve(records, bins=15)[14].count == 1
 
 
@@ -87,7 +107,8 @@ def test_reliability_curve_structure():
     records = []
     for i in range(200):
         p = rng.dirichlet([1.5] * 4)
-        records.append(rec(f"r{i}", int(rng.integers(4)), p))
+        records.append((f"r{i}", int(rng.integers(4)), p))
+    records = preds(records)
     curve = reliability_curve(records, bins=10)
     assert len(curve) == 10
     assert sum(b.count for b in curve) == 200
@@ -102,18 +123,24 @@ def test_reliability_curve_structure():
     assert ece(records, bins=10) == ece_from_curve(curve, 200)
 
 
-def _ece_oracle(records, bins):
-    """Direct-summation oracle: explicit interval tests, plain Python sums."""
-    n = len(records)
+def _ece_oracle(rows, bins):
+    """Direct-summation oracle: explicit interval tests, plain Python sums.
+
+    rows are (sample_id, true_label, probs); confidence is the row max and
+    the prediction its first argmax.
+    """
+    scored = [(max(probs), list(probs).index(max(probs)) == label)
+              for _, label, probs in rows]
+    n = len(scored)
     total = 0.0
     for i in range(bins):
         lo, hi = i / bins, (i + 1) / bins
-        members = [r for r in records
-                   if (lo < r.confidence <= hi) or (i == 0 and r.confidence <= hi)]
+        members = [(c, ok) for c, ok in scored
+                   if (lo < c <= hi) or (i == 0 and c <= hi)]
         if not members:
             continue
-        conf = sum(r.confidence for r in members) / len(members)
-        acc = sum(1.0 for r in members if r.predicted_label == r.true_label) / len(members)
+        conf = sum(c for c, _ in members) / len(members)
+        acc = sum(1.0 for _, ok in members if ok) / len(members)
         total += len(members) / n * abs(acc - conf)
     return total
 
@@ -124,9 +151,9 @@ def test_ece_matches_oracle_on_random_sets():
         n = int(rng.integers(1, 33))
         classes = int(rng.integers(2, 6))
         bins = int(rng.integers(1, 21))
-        records = [rec(f"t{trial}_{i}", int(rng.integers(classes)),
-                       rng.dirichlet([1.0] * classes)) for i in range(n)]
-        assert ece(records, bins=bins) == pytest.approx(
+        records = [(f"t{trial}_{i}", int(rng.integers(classes)),
+                    rng.dirichlet([1.0] * classes)) for i in range(n)]
+        assert ece(preds(records), bins=bins) == pytest.approx(
             _ece_oracle(records, bins), abs=1e-12)
 
 
@@ -157,6 +184,14 @@ def test_pearson_affine_invariance():
     assert pearson(2.5 * x + 7.0, y) == pytest.approx(base, abs=1e-9)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pearson_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        pearson([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        pearson([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
+
+
 def test_pearson_zero_variance_is_an_error():
     with pytest.raises(ZeroVariance):
         pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
@@ -173,20 +208,20 @@ def test_pearson_input_validation():
 
 def test_uncertainty_correlation_perfect():
     confs = [0.9, 0.8, 0.7, 0.6]
-    records = [two_class(f"s{i}", c, True) for i, c in enumerate(confs)]
+    records = preds([two_class(f"s{i}", c, True) for i, c in enumerate(confs)])
     sigma = {f"s{i}": 1.0 - c for i, c in enumerate(confs)}
     assert uncertainty_correlation(records, sigma) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_uncertainty_correlation_missing_ids():
-    records = [two_class("a", 0.9, True), two_class("b", 0.8, True)]
+    records = preds([two_class("a", 0.9, True), two_class("b", 0.8, True)])
     with pytest.raises(MissingSigma) as info:
         uncertainty_correlation(records, {"a": 0.1})
     assert info.value.sample_ids == ["b"]
 
 
 def test_uncertainty_correlation_constant_sigma():
-    records = [two_class("a", 0.9, True), two_class("b", 0.8, True)]
+    records = preds([two_class("a", 0.9, True), two_class("b", 0.8, True)])
     with pytest.raises(ZeroVariance):
         uncertainty_correlation(records, {"a": 0.0, "b": 0.0})
 
@@ -230,9 +265,9 @@ def test_quartile_too_few_values():
 
 def test_stratified_two_tier_blocks():
     # tier A: low sigma, 3 of 4 correct per group; tier B: high sigma, 1 of 4
-    tier_a = [two_class(f"a{i}", 0.8, correct=(i % 4 != 3)) for i in range(8)]
+    tier_a = preds([two_class(f"a{i}", 0.8, correct=(i % 4 != 3)) for i in range(8)])
     sig_a = {f"a{i}": 0.001 * (i + 1) for i in range(8)}
-    tier_b = [two_class(f"b{i}", 0.8, correct=(i % 4 == 0)) for i in range(8)]
+    tier_b = preds([two_class(f"b{i}", 0.8, correct=(i % 4 == 0)) for i in range(8)])
     sig_b = {f"b{i}": 0.011 + 0.001 * i for i in range(8)}
 
     rows = stratified_ece([(tier_a, sig_a), (tier_b, sig_b)], quartiles=4, bins=15)
@@ -252,14 +287,15 @@ def test_stratified_two_tier_blocks():
 
 
 def test_stratified_requires_sigma_for_every_record():
-    tier = [two_class("a", 0.8, True)]
+    tier = preds([two_class("a", 0.8, True)])
     with pytest.raises(MissingSigma):
         stratified_ece([(tier, {})], quartiles=1)
 
 
 def test_evaluate_full_report():
     confs = [0.9, 0.8, 0.7, 0.95]
-    records = [two_class(f"s{i}", c, correct=(i != 1)) for i, c in enumerate(confs)]
+    records = preds([two_class(f"s{i}", c, correct=(i != 1))
+                     for i, c in enumerate(confs)])
     sigma = {f"s{i}": 0.005 + 0.002 * i for i in range(4)}
     report = evaluate(records, sigma, bins=10)
     assert report.n == 4
@@ -268,11 +304,10 @@ def test_evaluate_full_report():
     assert report.ece == ece(records, bins=10)
     assert report.pearson_r is not None
     assert len(report.curve) == 10
-    assert report.stratified is None
 
 
 def test_evaluate_zero_noise_sigma_gives_undefined_pearson():
-    records = [two_class(f"s{i}", 0.6 + 0.05 * i, True) for i in range(4)]
+    records = preds([two_class(f"s{i}", 0.6 + 0.05 * i, True) for i in range(4)])
     sigma = {f"s{i}": 0.0 for i in range(4)}
     report = evaluate(records, sigma)
     assert report.pearson_r is None
@@ -280,17 +315,9 @@ def test_evaluate_zero_noise_sigma_gives_undefined_pearson():
 
 
 def test_evaluate_single_record():
-    report = evaluate([two_class("only", 0.9, True)], {"only": 0.01})
+    report = evaluate(preds([two_class("only", 0.9, True)]), {"only": 0.01})
     assert report.accuracy == 1.0
     assert report.pearson_r is None  # one point cannot correlate
-
-
-def test_evaluate_with_tier_sets_adds_stratification():
-    tier = [two_class(f"s{i}", 0.6 + 0.03 * i, True) for i in range(8)]
-    sigma = {f"s{i}": 0.001 * (i + 1) for i in range(8)}
-    report = evaluate(tier, sigma, tier_sets=[(tier, sigma)], quartiles=2)
-    assert report.stratified is not None
-    assert [q.quartile for q in report.stratified] == [0, 1]
 
 
 def test_read_predictions(tmp_path):
@@ -301,9 +328,42 @@ def test_read_predictions(tmp_path):
         "b,2,0.1,0.2,0.7\n"
     )
     records = read_predictions(path)
-    assert [r.sample_id for r in records] == ["a", "b"]
-    assert records[0].predicted_label == 0
-    assert records[1].confidence == 0.7
+    assert len(records) == 2
+    assert list(records.ids) == ["a", "b"]
+    assert list(records.labels) == [0, 2]
+    assert list(records.correct) == [True, True]  # argmax 0 and 2
+    assert records.confidence[1] == 0.7
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_read_predictions_roundtrip(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 12))
+    classes = data.draw(st.integers(2, 6))
+    ids = data.draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",)),
+                                     max_size=6), min_size=n, max_size=n))
+    labels = data.draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n))
+    weights = np.array(data.draw(st.lists(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                 min_size=classes, max_size=classes), min_size=n, max_size=n)))
+    weights[weights.sum(axis=1) == 0.0] = 1.0
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    blanks = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+
+    path = tmp_path_factory.mktemp("preds") / "preds.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_id", "true_label"] + [f"p_{i}" for i in range(classes)])
+        for sid, label, row, blank in zip(ids, labels, probs, blanks):
+            if blank:
+                writer.writerow([])
+            writer.writerow([sid, label] + [repr(float(p)) for p in row])
+
+    got = read_predictions(path)
+    assert len(got) == n
+    assert list(got.ids) == ids
+    assert_array_equal(got.labels, labels)
+    assert_array_equal(got.probs, probs)
 
 
 def test_read_predictions_errors(tmp_path):
@@ -318,6 +378,14 @@ def test_read_predictions_errors(tmp_path):
         read_predictions(bad_sum)
     assert info.value.line == 2
 
+    # line numbers count the header and blank lines, not data rows
+    after_blank = tmp_path / "b.csv"
+    after_blank.write_text("sample_id,true_label,p_0,p_1\n"
+                           "a,0,0.5,0.5\n\nb,1,0.5,0.5\nc,0,-0.5,1.5\n")
+    with pytest.raises(ParseError) as info:
+        read_predictions(after_blank)
+    assert info.value.line == 5
+
     short_row = tmp_path / "r.csv"
     short_row.write_text("sample_id,true_label,p_0,p_1\na,0,0.5\n")
     with pytest.raises(ParseError):
@@ -327,6 +395,28 @@ def test_read_predictions_errors(tmp_path):
     empty.write_text("sample_id,true_label,p_0,p_1\n")
     with pytest.raises(EmptyInput):
         read_predictions(empty)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_read_predictions_rejects_non_finite(tmp_path, bad):
+    path = tmp_path / "preds.csv"
+    path.write_text("sample_id,true_label,p_0,p_1\n"
+                    "a,0,1.0,0.0\n"
+                    f"b,0,{bad},1.0\n")
+    with pytest.raises(ParseError) as info:
+        read_predictions(path)
+    assert info.value.line == 3
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_read_sigma_summary_rejects_non_finite(tmp_path, bad):
+    path = tmp_path / "summary.csv"
+    path.write_text("sample_id,label,mean_sigma,mean_mu,outlier_count\n"
+                    "a,0,0.011,0.001,3\n"
+                    f"b,1,{bad},0.002,0\n")
+    with pytest.raises(ParseError) as info:
+        read_sigma_summary(path)
+    assert info.value.line == 3
 
 
 def test_read_sigma_summary(tmp_path):
@@ -350,8 +440,8 @@ def test_read_sigma_summary(tmp_path):
 
 
 def test_write_report_roundtrip(tmp_path):
-    records = [two_class(f"s{i}", 0.55 + 0.1 * i, correct=(i % 2 == 0))
-               for i in range(5)]
+    records = preds([two_class(f"s{i}", 0.55 + 0.1 * i, correct=(i % 2 == 0))
+                     for i in range(5)])
     sigma = {f"s{i}": 0.002 * (i + 1) for i in range(5)}
     report = evaluate(records, sigma, bins=8)
     write_report(tmp_path, report)
@@ -377,7 +467,7 @@ def test_write_report_roundtrip(tmp_path):
 
 
 def test_write_report_undefined_marker(tmp_path):
-    records = [two_class(f"s{i}", 0.6 + 0.05 * i, True) for i in range(3)]
+    records = preds([two_class(f"s{i}", 0.6 + 0.05 * i, True) for i in range(3)])
     report = evaluate(records, {f"s{i}": 0.0 for i in range(3)})
     write_report(tmp_path, report)
     assert "pearson_r=undefined(zero_variance)" in \
