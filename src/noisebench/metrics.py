@@ -1,8 +1,8 @@
 """Classifier evaluation: accuracy, calibration, uncertainty correlation.
 
-Predictions are one column-wise `Predictions` bundle, validated once:
-probabilities finite and non-negative, rows summing to 1 within 1e-6,
-labels indexing a class. Confidence is the row's max probability; the
+Prediction rows are held column-wise in one `Predictions` bundle, validated
+once: probabilities finite and non-negative, each row summing to 1 within
+1e-6, labels indexing a class. Confidence is the row's max probability; the
 predicted label is its argmax (ties go to the lowest class index). Expected
 calibration error uses M equal-width confidence bins over (0, 1]: bin i
 covers (i/M, (i+1)/M], with bin 0 closed at 0 so confidence 0 still lands
@@ -15,6 +15,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -255,7 +256,7 @@ class EvalReport:
     accuracy: float
     ece: float
     curve: list
-    pearson_r: float | None  # None when correlation is undefined
+    pearson_r: Optional[float]  # None when correlation is undefined
     n: int
     bin_count: int
 
@@ -361,19 +362,18 @@ def write_report(out_dir, report):
 
 
 def write_curve(path, curve):
-    _write_csv(path, ["bin_lo", "bin_hi", "count", "mean_conf", "mean_acc"],
-               ([fmt(b.lo), fmt(b.hi), b.count, fmt(b.mean_conf), fmt(b.mean_acc)]
-                for b in curve))
+    with atomic_text(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["bin_lo", "bin_hi", "count", "mean_conf", "mean_acc"])
+        for b in curve:
+            writer.writerow([fmt(b.lo), fmt(b.hi), b.count, fmt(b.mean_conf),
+                             fmt(b.mean_acc)])
 
 
 def write_stratified(path, rows):
-    _write_csv(path, ["quartile", "sigma_lo", "sigma_hi", "count", "ece"],
-               ([q.quartile, fmt(q.sigma_lo), fmt(q.sigma_hi), q.count, fmt(q.ece)]
-                for q in rows))
-
-
-def _write_csv(path, header, rows):
     with atomic_text(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(["quartile", "sigma_lo", "sigma_hi", "count", "ece"])
+        for q in rows:
+            writer.writerow([q.quartile, fmt(q.sigma_lo), fmt(q.sigma_hi),
+                             q.count, fmt(q.ece)])
