@@ -141,7 +141,7 @@ def test_c07_ece_oracle_equivalence():
         classes = int(rng.integers(2, 6))
         bins = 15 if trial % 2 else int(rng.integers(1, 21))
         rows = [(int(rng.integers(classes)), rng.dirichlet([1.0] * classes))
-                for i in range(n)]
+                for _ in range(n)]
         labels, probs = zip(*rows)
         records = Predictions([f"t{trial}_{i}" for i in range(n)], labels, probs)
         assert abs(ece(records, bins=bins) - _ece_oracle(rows, bins)) <= 1e-12
