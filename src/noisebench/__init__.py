@@ -9,7 +9,7 @@ from .metrics import (CalibrationBin, EvalReport, Predictions, QuartileEce,
                       read_predictions, read_sigma_summary, reliability_curve,
                       stratified_ece, uncertainty_correlation)
 from .noise import (AnnotatedCloud, NoiseParams, angle_factor, bias_mu,
-                    bounding_box, corrupt_cloud, inject_outliers, perturb_point,
+                    bounding_box, corrupt_cloud, inject_outliers, perturb_points,
                     point_sigma, sigma_range)
 from .pipeline import (DEFAULT_NORMAL_K, DEFAULT_SENSOR, TIER_NAMES, Manifest,
                        GenerationSummary, SampleEntry, TierConfig,

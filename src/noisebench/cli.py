@@ -39,6 +39,16 @@ def _parse_scale(text):
     return scale
 
 
+def _parse_count(text):
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return count
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="noisebench",
@@ -67,7 +77,7 @@ def build_parser():
     p = sub.add_parser("evaluate", help="score predictions against a sigma summary")
     p.add_argument("predictions", help="predictions CSV")
     p.add_argument("sigma_summary", help="sigma summary CSV from corrupt")
-    p.add_argument("--bins", type=int, default=metrics.DEFAULT_BINS,
+    p.add_argument("--bins", type=_parse_count, default=metrics.DEFAULT_BINS,
                    help="calibration bin count (default %(default)s)")
     p.add_argument("--out", default=None, metavar="DIR",
                    help="write report.txt and curve.csv to DIR")
@@ -77,9 +87,9 @@ def build_parser():
                    help="prediction CSVs, one per tier")
     p.add_argument("--sigmas", nargs="+", required=True, metavar="CSV",
                    help="sigma summary CSVs, matching --preds order")
-    p.add_argument("--quartiles", type=int, default=metrics.DEFAULT_QUARTILES,
+    p.add_argument("--quartiles", type=_parse_count, default=metrics.DEFAULT_QUARTILES,
                    help="number of rank groups (default %(default)s)")
-    p.add_argument("--bins", type=int, default=metrics.DEFAULT_BINS,
+    p.add_argument("--bins", type=_parse_count, default=metrics.DEFAULT_BINS,
                    help="calibration bin count (default %(default)s)")
     p.add_argument("--out", default=None, metavar="DIR",
                    help="write stratified.csv to DIR")

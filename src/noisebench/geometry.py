@@ -1,8 +1,8 @@
 """Point cloud geometry: sensor ranges, surface normals, incidence angles.
 
-All functions accept either a single point of shape (3,) or a cloud of
-shape (n, 3) and return matching scalar/array results. Clouds are plain
-float64 numpy arrays; no wrapper classes.
+Every function takes a cloud of shape (n, 3) and returns per-point arrays;
+a single point is a 1-row cloud. Clouds are plain float64 numpy arrays; no
+wrapper classes.
 """
 
 from typing import NamedTuple
@@ -28,14 +28,11 @@ class NormalEstimate(NamedTuple):
 
 
 def _as_cloud(points):
-    """Coerce input to a float64 (n, 3) array, remembering if it was a single point."""
+    """Coerce input to a float64 (n, 3) array."""
     arr = np.asarray(points, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr.reshape(1, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError(f"expected shape (n, 3) or (3,), got {arr.shape}")
-    return arr, single
+        raise ValueError(f"expected shape (n, 3), got {arr.shape}")
+    return arr
 
 
 def _as_vec3(v, name):
@@ -46,25 +43,19 @@ def _as_vec3(v, name):
 
 
 def range_to_sensor(points, sensor):
-    """Euclidean distance from each point to the sensor position.
-
-    Returns a scalar for a (3,) input, an (n,) array for an (n, 3) cloud.
-    """
-    pts, single = _as_cloud(points)
-    sensor = _as_vec3(sensor, "sensor")
-    r = np.linalg.norm(pts - sensor, axis=1)
-    return float(r[0]) if single else r
+    """Euclidean distance from each point of an (n, 3) cloud to the sensor; (n,)."""
+    return np.linalg.norm(_as_cloud(points) - _as_vec3(sensor, "sensor"), axis=1)
 
 
 def incidence_cosine(points, normals, sensor):
-    """Absolute cosine between the sensor->point ray and the surface normal.
+    """Absolute cosine between each sensor->point ray and its surface normal.
 
-    Clamped to [0, 1]. Raises DegenerateRay if any point sits exactly at
-    the sensor position.
+    Takes (n, 3) points and normals and returns (n,), clamped to [0, 1].
+    Raises DegenerateRay if any point sits exactly at the sensor position.
     """
-    pts, single = _as_cloud(points)
-    nrm, nsingle = _as_cloud(normals)
-    if single != nsingle or len(pts) != len(nrm):
+    pts = _as_cloud(points)
+    nrm = _as_cloud(normals)
+    if len(pts) != len(nrm):
         raise ValueError("points and normals must have matching shapes")
     sensor = _as_vec3(sensor, "sensor")
     rays = pts - sensor
@@ -72,8 +63,7 @@ def incidence_cosine(points, normals, sensor):
     if np.any(r == 0.0):
         raise DegenerateRay("point coincides with the sensor position")
     cos = np.abs(np.sum(rays / r[:, None] * nrm, axis=1))
-    cos = np.clip(cos, 0.0, 1.0)
-    return float(cos[0]) if single else cos
+    return np.clip(cos, 0.0, 1.0)
 
 
 def _knn_indices(pts, k):
@@ -208,7 +198,7 @@ def estimate_normals(points, k, sensor):
     :param sensor: sensor position, 3-vector.
     :returns: NormalEstimate(vectors, degenerate).
     """
-    pts, _ = _as_cloud(points)
+    pts = _as_cloud(points)
     sensor = _as_vec3(sensor, "sensor")
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")

@@ -307,9 +307,14 @@ def read_predictions(path):
                 raise ParseError(f"expected {classes + 2} columns, got {len(row)}",
                                  path=path, line=lineno)
             try:
-                rows.append((lineno, row[0], int(row[1]), [float(p) for p in row[2:]]))
+                rows.append((lineno, row[0], np.int64(int(row[1])),
+                             [float(p) for p in row[2:]]))
             except ValueError as exc:
                 raise ParseError(str(exc), path=path, line=lineno) from None
+            except OverflowError:
+                # out of range for any class count; Predictions holds the range rule
+                raise ParseError(f"true_label {row[1]} does not fit in 64 bits",
+                                 path=path, line=lineno) from None
     if not rows:
         raise EmptyInput(f"{path}: no prediction rows")
     lines, ids, labels, probs = zip(*rows)

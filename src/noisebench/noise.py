@@ -10,17 +10,18 @@ incidence-dependent scale:
 
 where r is the point's range from the sensor and t the incidence angle
 between the view ray and the local surface normal. Each point is displaced
-by eps ~ N(mu, sigma) along the sensor->point direction. A fraction p_out
-of points is then replaced by uniform draws from the clean cloud's
-axis-aligned bounding box; replaced points keep the sigma/mu computed for
-their original geometry and are marked in a boolean mask.
+by eps ~ N(mu, sigma) along the sensor->point direction (perturb_points).
+A fraction p_out of points is then replaced by uniform draws from the
+clean cloud's axis-aligned bounding box (inject_outliers); replaced points
+keep the sigma/mu computed for their original geometry and are marked in a
+boolean mask. Every stage works on whole (n, 3) clouds.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRay, InsufficientPoints
+from .errors import DegenerateRay
 from .geometry import estimate_normals, incidence_cosine, range_to_sensor, _as_cloud, _as_vec3
 
 # purpose tags for per-sample random substreams; each purpose gets its own
@@ -82,25 +83,27 @@ def point_sigma(r, cos_theta, params):
     return sigma_range(r, params.a, params.b) * angle_factor(cos_theta, params.c)
 
 
-def perturb_point(p, sensor, sigma, mu, rng):
-    """Displace one point along its view ray by eps ~ N(mu, sigma).
+def perturb_points(points, sensor, sigma, mu, rng):
+    """Displace each point along its view ray by eps ~ N(mu, sigma).
 
-    Consumes exactly one Gaussian variate from rng. With sigma = mu = 0 the
-    point is returned bit-identical.
+    points is an (n, 3) cloud; sigma and mu are scalars or (n,) arrays,
+    and eps = mu + sigma * z with z = rng.standard_normal(n): exactly n
+    variates, one per point in index order. With sigma = mu = 0 the points
+    are returned bit-identical. Raises DegenerateRay if any point sits
+    exactly at the sensor position.
     """
-    p = _as_vec3(p, "p")
-    sensor = _as_vec3(sensor, "sensor")
-    ray = p - sensor
-    dist = float(np.linalg.norm(ray))
-    if dist == 0.0:
+    pts = _as_cloud(points)
+    rays = pts - _as_vec3(sensor, "sensor")
+    r = np.linalg.norm(rays, axis=1)
+    if np.any(r == 0.0):
         raise DegenerateRay("point coincides with the sensor position")
-    eps = rng.normal(mu, sigma)
-    return p + eps * (ray / dist)
+    eps = mu + sigma * rng.standard_normal(len(pts))
+    return pts + eps[:, None] * (rays / r[:, None])
 
 
 def bounding_box(points):
     """Axis-aligned bounding box of a cloud as a (lo, hi) pair of 3-vectors."""
-    pts, _ = _as_cloud(points)
+    pts = _as_cloud(points)
     return pts.min(axis=0), pts.max(axis=0)
 
 
@@ -111,7 +114,7 @@ def inject_outliers(points, p_out, bbox, rng):
     then one coordinate triple per replaced point, again in index order.
     Returns (new_points, mask); the input is never modified.
     """
-    pts, _ = _as_cloud(points)
+    pts = _as_cloud(points)
     if not (0.0 <= p_out <= 1.0):
         raise ValueError(f"p_out must be in [0, 1], got {p_out}")
     lo = _as_vec3(bbox[0], "bbox lo")
@@ -185,41 +188,28 @@ def corrupt_cloud(points, sensor, params, k=16, seed=0):
 
     Stages: estimate normals on the clean cloud (k nearest neighbors),
     evaluate sigma/mu per point, displace each point along its view ray by
-    one Gaussian draw, then replace a p_out fraction with uniform samples
-    from the clean cloud's bounding box. All randomness derives from `seed`
-    through fixed-purpose substreams (see _substream), so the result is
-    byte-identical across runs and worker counts. Gaussian variates come
-    from numpy's Philox generator (ziggurat method), which is stable for a
-    given numpy build.
+    one Gaussian draw (perturb_points), then replace a p_out fraction with
+    uniform samples from the clean cloud's bounding box (inject_outliers).
+    All randomness derives from `seed` through fixed-purpose substreams
+    (see _substream), so the result is byte-identical across runs and
+    worker counts. Gaussian variates come from numpy's Philox generator
+    (ziggurat method), which is stable for a given numpy build.
 
-    :param points: (n, 3) clean cloud, n > k.
-    :param sensor: sensor position, 3-vector.
+    :param points: (n, 3) clean cloud, n > k (InsufficientPoints otherwise).
+    :param sensor: sensor position, 3-vector; no point may sit on it
+        (DegenerateRay otherwise).
     :param params: NoiseParams tier bundle.
     :param k: normal-estimation neighborhood size.
     :param seed: 64-bit sample seed.
     :returns: AnnotatedCloud.
     """
-    pts, _ = _as_cloud(points)
-    sensor = _as_vec3(sensor, "sensor")
-    n = len(pts)
-    if n <= k:
-        raise InsufficientPoints(f"need more than k={k} points, got {n}")
-
+    pts = _as_cloud(points)
     r = range_to_sensor(pts, sensor)
-    if np.any(r == 0.0):
-        raise DegenerateRay("point coincides with the sensor position")
-
     normals = estimate_normals(pts, k, sensor)
     cos_t = incidence_cosine(pts, normals.vectors, sensor)
     sigma = point_sigma(r, cos_t, params)
     mu = bias_mu(cos_t, params.k)
-
-    # one standard normal per point, consumed in index order
-    z = _substream(seed, _STREAM_PERTURB).standard_normal(n)
-    eps = mu + sigma * z
-    unit = (pts - sensor) / r[:, None]
-    corrupted = pts + eps[:, None] * unit
-
+    corrupted = perturb_points(pts, sensor, sigma, mu, _substream(seed, _STREAM_PERTURB))
     corrupted, mask = inject_outliers(
         corrupted, params.p_out, bounding_box(pts), _substream(seed, _STREAM_OUTLIER)
     )
@@ -227,8 +217,8 @@ def corrupt_cloud(points, sensor, params, k=16, seed=0):
     return AnnotatedCloud(
         clean=pts.copy(),
         corrupted=corrupted,
-        sigma=np.asarray(sigma, dtype=np.float64),
-        mu=np.asarray(mu, dtype=np.float64),
+        sigma=sigma,
+        mu=mu,
         r=r,
         cos_theta=cos_t,
         outlier=mask,

@@ -21,7 +21,7 @@ import hashlib
 import math
 import os
 import struct
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -342,21 +342,16 @@ def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False
                         manifest.base_dir): entry
             for entry in manifest.entries
         }
-        if keep_going:
-            for fut, entry in futures.items():
-                try:
-                    rows.append(fut.result())
-                except Exception as exc:
-                    failures.append((entry.sample_id, str(exc)))
-        else:
-            done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-            failed = next((f for f in done if f.exception() is not None), None)
-            if failed is not None:
-                for f in not_done:
-                    f.cancel()
-                raise GenerationError(futures[failed].sample_id, failed.exception())
-            for fut in futures:
+        for fut in as_completed(futures):
+            try:
                 rows.append(fut.result())
+            except Exception as exc:
+                sample_id = futures[fut].sample_id
+                if not keep_going:
+                    for pending in futures:
+                        pending.cancel()
+                    raise GenerationError(sample_id, exc) from exc
+                failures.append((sample_id, str(exc)))
 
     rows.sort(key=lambda r: r[0])
     with atomic_text(tier_dir / "summary.csv") as fh:

@@ -16,7 +16,7 @@ from numpy.testing import assert_array_equal
 from conftest import tree_digest, unit_sphere_cloud, write_benchmark_manifest
 from noisebench import (Predictions, ZeroVariance, bias_mu, corrupt_cloud,
                         ece, estimate_normals, evaluate, inject_outliers,
-                        bounding_box, pearson, perturb_point, point_sigma,
+                        bounding_box, pearson, perturb_points, point_sigma,
                         quartile_bins, read_annotated, stratified_ece,
                         tier_params, uncertainty_correlation)
 from noisebench.cli import main
@@ -64,10 +64,8 @@ def test_c03_sampler_statistics():
     start = time.monotonic()
     n = 100_000
     rng = np.random.default_rng(201)
-    p = np.zeros(3)
-    draws = np.empty(n)
-    for i in range(n):
-        draws[i] = perturb_point(p, SENSOR, sigma, mu, rng)[1]
+    # the Gaussian stage corrupt_cloud runs, on n copies of the point
+    draws = perturb_points(np.zeros((n, 3)), SENSOR, sigma, mu, rng)[:, 1]
     elapsed = time.monotonic() - start
 
     assert draws.std() == pytest.approx(0.005, rel=0.02)

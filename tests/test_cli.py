@@ -216,6 +216,24 @@ def test_evaluate_non_finite_input_exit_1(tmp_path, capsys, pred_row, sigma):
     assert ".csv:3:" in captured.err
 
 
+@pytest.mark.parametrize("args", [
+    ["evaluate", "{p}", "{s}", "--bins", "0"],
+    ["stratify", "--preds", "{p}", "--sigmas", "{s}", "--bins", "0"],
+    ["stratify", "--preds", "{p}", "--sigmas", "{s}", "--quartiles", "0"],
+    ["stratify", "--preds", "{p}", "--sigmas", "{s}", "--quartiles", "-1"],
+])
+def test_score_non_positive_count_is_usage_error(tmp_path, capsys, args):
+    preds = tmp_path / "p.csv"
+    write_predictions(preds, [(f"a{i}", i, [0.6, 0.3, 0.1]) for i in range(3)])
+    summary = tmp_path / "s.csv"
+    summary.write_text("sample_id,label,mean_sigma,mean_mu,outlier_count\n"
+                       + "".join(f"a{i},0,0.0{i + 1},0.0,0\n" for i in range(3)))
+    assert main([a.format(p=preds, s=summary) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and args[-2] in captured.err
+
+
 def test_stratify_end_to_end(tmp_path, capsys):
     preds_a = tmp_path / "preds_a.csv"
     write_predictions(preds_a, [(f"a{i}", 0, [0.8, 0.15, 0.05]) for i in range(4)])

@@ -17,20 +17,13 @@ from noisebench.geometry import _knn_indices
 
 
 def test_range_scalar_example():
-    r = range_to_sensor((1.0, 2.0, 0.0), (0.0, 0.0, 0.0))
-    assert r == pytest.approx(math.sqrt(5.0), rel=1e-15)
-
-
-def test_range_batch_matches_scalar():
-    pts = unit_sphere_cloud(50, seed=0) * 3.0
-    sensor = (0.5, -2.0, 1.0)
-    batch = range_to_sensor(pts, sensor)
-    singles = np.array([range_to_sensor(p, sensor) for p in pts])
-    assert_array_equal(batch, singles)
+    r = range_to_sensor([(1.0, 2.0, 0.0)], (0.0, 0.0, 0.0))
+    assert r.shape == (1,)
+    assert r[0] == pytest.approx(math.sqrt(5.0), rel=1e-15)
 
 
 def test_range_zero_at_sensor():
-    assert range_to_sensor((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)) == 0.0
+    assert_array_equal(range_to_sensor([(1.0, 1.0, 1.0)], (1.0, 1.0, 1.0)), [0.0])
 
 
 def test_range_translation_covariant_for_exact_shifts():
@@ -48,9 +41,11 @@ def test_range_translation_covariant_for_exact_shifts():
 
 def test_incidence_sixty_degrees():
     sensor = np.zeros(3)
-    p = np.array([math.sin(math.pi / 3), 0.0, math.cos(math.pi / 3)])
-    n = np.array([0.0, 0.0, 1.0])
-    assert incidence_cosine(p, n, sensor) == pytest.approx(0.5, abs=1e-15)
+    p = np.array([[math.sin(math.pi / 3), 0.0, math.cos(math.pi / 3)]])
+    n = np.array([[0.0, 0.0, 1.0]])
+    cos = incidence_cosine(p, n, sensor)
+    assert cos.shape == (1,)
+    assert cos[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_incidence_sign_insensitive():
@@ -77,7 +72,7 @@ def test_incidence_clamped_to_unit_interval():
 def test_incidence_degenerate_ray():
     sensor = (1.0, 2.0, 3.0)
     with pytest.raises(DegenerateRay):
-        incidence_cosine(sensor, (0.0, 0.0, 1.0), sensor)
+        incidence_cosine([sensor], [(0.0, 0.0, 1.0)], sensor)
 
 
 def test_knn_ties_break_to_lower_index():
@@ -307,6 +302,13 @@ def test_normals_input_validation():
         estimate_normals(pts, 10, sensor=(0.0, -2.0, 0.0))
     with pytest.raises(ValueError):
         estimate_normals(pts, 2, sensor=(0.0, -2.0, 0.0))
+    # a bare 3-vector is not a cloud; a single point is a 1-row cloud
+    with pytest.raises(ValueError):
+        estimate_normals(pts[0], 3, sensor=(0.0, -2.0, 0.0))
+    with pytest.raises(ValueError):
+        range_to_sensor(pts[0], (0.0, -2.0, 0.0))
+    with pytest.raises(ValueError):
+        incidence_cosine(pts[0], (0.0, 0.0, 1.0), (0.0, -2.0, 0.0))
     # one more point than k is enough
     est = estimate_normals(unit_sphere_cloud(11, seed=9), 10, (0.0, -2.0, 0.0))
     assert est.vectors.shape == (11, 3)

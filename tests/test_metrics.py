@@ -392,6 +392,14 @@ def test_read_predictions_errors(tmp_path):
             read_predictions(non_finite)
         assert info.value.line == 3
 
+    # labels beyond 64 bits are out of range like any other, not a shape error
+    for bad in ("99999999999999999999", "-99999999999999999999"):
+        huge = tmp_path / "l.csv"
+        huge.write_text(f"sample_id,true_label,p_0,p_1\na,0,1.0,0.0\nb,{bad},0.5,0.5\n")
+        with pytest.raises(ParseError, match="true_label") as info:
+            read_predictions(huge)
+        assert info.value.line == 3
+
     short_row = tmp_path / "r.csv"
     short_row.write_text("sample_id,true_label,p_0,p_1\na,0,0.5\n")
     with pytest.raises(ParseError):

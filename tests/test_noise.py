@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from conftest import unit_sphere_cloud
 from noisebench import (DegenerateRay, InsufficientPoints, NoiseParams,
                         angle_factor, bias_mu, bounding_box, corrupt_cloud,
-                        inject_outliers, perturb_point, point_sigma,
+                        inject_outliers, perturb_points, point_sigma,
                         range_to_sensor, sigma_range, tier_params)
 
 SENSOR = (0.0, -2.0, 0.0)
@@ -66,50 +66,52 @@ def test_sigma_never_below_base(seed=100):
 
 
 def test_perturb_zero_noise_is_identity():
-    p = np.array([0.3, 0.4, 0.5])
-    out = perturb_point(p, SENSOR, sigma=0.0, mu=0.0, rng=np.random.default_rng(0))
-    assert_array_equal(out, p)
+    pts = unit_sphere_cloud(100, seed=34) * 1.5
+    out = perturb_points(pts, SENSOR, sigma=0.0, mu=0.0, rng=np.random.default_rng(0))
+    assert_array_equal(out, pts)
 
 
 def test_perturb_pure_bias_moves_along_ray():
-    out = perturb_point(np.zeros(3), SENSOR, sigma=0.0, mu=0.01,
-                        rng=np.random.default_rng(0))
-    assert_array_equal(out, [0.0, 0.01, 0.0])
+    mu = np.array([0.0, 0.01, 0.02, 0.03])
+    out = perturb_points(np.zeros((4, 3)), SENSOR, sigma=0.0, mu=mu,
+                         rng=np.random.default_rng(0))
+    assert_array_equal(out, np.column_stack([np.zeros(4), mu, np.zeros(4)]))
 
 
-def test_perturb_consumes_exactly_one_variate():
+def test_perturb_consumes_exactly_n_variates():
+    n = 7
     rng_a = np.random.default_rng(11)
-    perturb_point(np.ones(3), SENSOR, sigma=0.5, mu=0.0, rng=rng_a)
+    out = perturb_points(np.zeros((n, 3)), SENSOR, sigma=0.5, mu=0.0, rng=rng_a)
     rng_b = np.random.default_rng(11)
-    rng_b.normal(0.0, 0.5)
+    # one variate per point, in index order
+    assert_array_equal(out[:, 1], 0.5 * rng_b.standard_normal(n))
     # both streams must now be in the same state
     assert rng_a.random() == rng_b.random()
 
 
 def test_perturb_displacement_is_along_ray():
     rng = np.random.default_rng(12)
-    for _ in range(20):
-        p = rng.uniform(-1, 1, 3)
-        out = perturb_point(p, SENSOR, sigma=0.05, mu=0.01, rng=rng)
-        disp = out - p
-        ray = p - np.asarray(SENSOR, dtype=float)
-        cross = np.cross(disp, ray)
-        assert np.linalg.norm(cross) <= 1e-12 * np.linalg.norm(ray)
+    pts = rng.uniform(-1, 1, (20, 3))
+    out = perturb_points(pts, SENSOR, sigma=0.05, mu=0.01, rng=rng)
+    disp = out - pts
+    rays = pts - np.asarray(SENSOR, dtype=float)
+    cross = np.cross(disp, rays)
+    assert np.all(np.linalg.norm(cross, axis=1) <= 1e-12 * np.linalg.norm(rays, axis=1))
 
 
 def test_perturb_sample_statistics():
     rng = np.random.default_rng(13)
     sigma, n = 0.01, 20000
-    draws = np.array([perturb_point(np.zeros(3), SENSOR, sigma, 0.0, rng)[1]
-                      for _ in range(n)])
+    draws = perturb_points(np.zeros((n, 3)), SENSOR, sigma, 0.0, rng)[:, 1]
     assert draws.std() == pytest.approx(sigma, rel=0.05)
     assert abs(draws.mean()) < 5 * sigma / np.sqrt(n)
 
 
 def test_perturb_at_sensor_raises():
+    pts = unit_sphere_cloud(10, seed=35)
+    pts[3] = SENSOR
     with pytest.raises(DegenerateRay):
-        perturb_point(np.asarray(SENSOR, dtype=float), SENSOR, 0.01, 0.0,
-                      np.random.default_rng(0))
+        perturb_points(pts, SENSOR, 0.01, 0.0, np.random.default_rng(0))
 
 
 def test_bounding_box():

@@ -2,7 +2,10 @@
 
 import csv
 import hashlib
+import importlib.util
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,8 +255,9 @@ def test_generate_benchmark_fail_fast(tmp_path):
     with open(manifest_path, "a", encoding="utf-8") as fh:
         fh.write("broken,0,clouds/missing.xyz\n")
     manifest = read_manifest(manifest_path)
-    with pytest.raises(GenerationError):
+    with pytest.raises(GenerationError) as info:
         generate_benchmark(manifest, preset_config("light"), tmp_path / "out")
+    assert info.value.sample_id == "broken"
 
 
 def test_generate_benchmark_keep_going(tmp_path):
@@ -280,3 +284,17 @@ def test_atomic_write_leaves_no_partial_file(tmp_path):
             raise RuntimeError("boom")
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_tracer_targets_exist(monkeypatch):
+    # bench/tracer.py wraps each (module, attribute) of TARGETS by name and
+    # fails on a missing one; the untraced benchmark runs never install it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    missing = [(module, attr) for module, attr, *_ in tracer.TARGETS
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
