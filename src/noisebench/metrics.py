@@ -11,7 +11,6 @@ somewhere. Empty bins contribute nothing:
     ECE = sum_i  n_i / N * |acc_i - conf_i|
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._fileio import atomic_text, fmt
+from ._fileio import SUMMARY_HEADER, atomic_text, csv_rows, fmt, write_csv
 from .errors import (EmptyInput, MissingSigma, ParseError, TooFewValues,
                      ZeroVariance)
 
@@ -291,30 +290,18 @@ def read_predictions(path):
     A row that fails Predictions validation is reported at its file line.
     """
     rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("missing predictions header", path=path, line=1)
-        if (len(header) < 4 or header[:2] != ["sample_id", "true_label"]
-                or header[2:] != [f"p_{i}" for i in range(len(header) - 2)]):
-            raise ParseError(f"bad predictions header {header!r}", path=path, line=1)
-        classes = len(header) - 2
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != classes + 2:
-                raise ParseError(f"expected {classes + 2} columns, got {len(row)}",
-                                 path=path, line=lineno)
-            try:
-                rows.append((lineno, row[0], np.int64(int(row[1])),
-                             [float(p) for p in row[2:]]))
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=lineno) from None
-            except OverflowError:
-                # out of range for any class count; Predictions holds the range rule
-                raise ParseError(f"true_label {row[1]} does not fit in 64 bits",
-                                 path=path, line=lineno) from None
+    for lineno, row in csv_rows(path, "predictions", lambda header: (
+            len(header) >= 4 and header[:2] == ["sample_id", "true_label"]
+            and header[2:] == [f"p_{i}" for i in range(len(header) - 2)])):
+        try:
+            rows.append((lineno, row[0], np.int64(int(row[1])),
+                         [float(p) for p in row[2:]]))
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=lineno) from None
+        except OverflowError:
+            # out of range for any class count; Predictions holds the range rule
+            raise ParseError(f"true_label {row[1]} does not fit in 64 bits",
+                             path=path, line=lineno) from None
     if not rows:
         raise EmptyInput(f"{path}: no prediction rows")
     lines, ids, labels, probs = zip(*rows)
@@ -328,31 +315,19 @@ def read_predictions(path):
 
 def read_sigma_summary(path):
     """Parse a sigma summary CSV into {sample_id: mean_sigma}."""
-    expected = ["sample_id", "label", "mean_sigma", "mean_mu", "outlier_count"]
     table = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("missing summary header", path=path, line=1)
-        if header != expected:
-            raise ParseError(f"bad summary header {header!r}", path=path, line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ParseError(f"expected 5 columns, got {len(row)}",
-                                 path=path, line=lineno)
-            sid = row[0]
-            if sid in table:
-                raise ParseError(f"duplicate sample_id {sid!r}", path=path, line=lineno)
-            try:
-                sigma = float(row[2])
-            except ValueError:
-                sigma = math.nan
-            if not math.isfinite(sigma):
-                raise ParseError(f"bad mean_sigma {row[2]!r}", path=path, line=lineno)
-            table[sid] = sigma
+    for lineno, row in csv_rows(path, "summary",
+                                lambda header: tuple(header) == SUMMARY_HEADER):
+        sid = row[0]
+        if sid in table:
+            raise ParseError(f"duplicate sample_id {sid!r}", path=path, line=lineno)
+        try:
+            sigma = float(row[2])
+        except ValueError:
+            sigma = math.nan
+        if not math.isfinite(sigma):
+            raise ParseError(f"bad mean_sigma {row[2]!r}", path=path, line=lineno)
+        table[sid] = sigma
     if not table:
         raise EmptyInput(f"{path}: no summary rows")
     return table
@@ -363,22 +338,12 @@ def write_report(out_dir, report):
     out_dir = Path(out_dir)
     with atomic_text(out_dir / "report.txt") as fh:
         fh.write(report.text())
-    write_curve(out_dir / "curve.csv", report.curve)
-
-
-def write_curve(path, curve):
-    with atomic_text(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "count", "mean_conf", "mean_acc"])
-        for b in curve:
-            writer.writerow([fmt(b.lo), fmt(b.hi), b.count, fmt(b.mean_conf),
-                             fmt(b.mean_acc)])
+    write_csv(out_dir / "curve.csv", ["bin_lo", "bin_hi", "count", "mean_conf", "mean_acc"],
+              ([fmt(b.lo), fmt(b.hi), b.count, fmt(b.mean_conf), fmt(b.mean_acc)]
+               for b in report.curve))
 
 
 def write_stratified(path, rows):
-    with atomic_text(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["quartile", "sigma_lo", "sigma_hi", "count", "ece"])
-        for q in rows:
-            writer.writerow([q.quartile, fmt(q.sigma_lo), fmt(q.sigma_hi),
-                             q.count, fmt(q.ece)])
+    write_csv(path, ["quartile", "sigma_lo", "sigma_hi", "count", "ece"],
+              ([q.quartile, fmt(q.sigma_lo), fmt(q.sigma_hi), q.count, fmt(q.ece)]
+               for q in rows))

@@ -37,10 +37,10 @@ _SEED_MASK = (1 << 64) - 1
 class NoiseParams:
     """Tier parameter bundle.
 
-    :param a: base range noise [m], >= 0
-    :param b: range noise growth per meter [1], >= 0
-    :param c: incidence sensitivity [1], >= 0
-    :param k: incidence bias scale [m], >= 0
+    :param a: base range noise [m], finite and >= 0
+    :param b: range noise growth per meter [1], finite and >= 0
+    :param c: incidence sensitivity [1], finite and >= 0
+    :param k: incidence bias scale [m], finite and >= 0
     :param p_out: outlier probability per point, in [0, 1]
     """
 
@@ -53,8 +53,8 @@ class NoiseParams:
     def __post_init__(self):
         for name in ("a", "b", "c", "k"):
             v = getattr(self, name)
-            if not (v >= 0.0):
-                raise ValueError(f"{name} must be >= 0, got {v}")
+            if not (0.0 <= v < float("inf")):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
         if not (0.0 <= self.p_out <= 1.0):
             raise ValueError(f"p_out must be in [0, 1], got {self.p_out}")
 

@@ -1,9 +1,10 @@
 """Benchmark generation: tier presets, seeding, file formats, batch runs.
 
-File formats (all UTF-8 text):
+File formats (all UTF-8 text). Readers skip blank lines, and '#' comment
+lines in all but the CSV formats; float fields must be finite; a bad line
+is a ParseError citing its file line (for CSV, where its record starts).
 
-  clean cloud     one point per line, "x y z"; lines starting with '#' are
-                  comments; blank lines are skipped
+  clean cloud     one point per line, "x y z"
   annotated cloud header "# x y z sigma mu outlier", then one point per
                   line with six space-separated fields; outlier is 0 or 1;
                   floats use shortest round-trip decimals
@@ -16,7 +17,6 @@ File formats (all UTF-8 text):
                   global_seed
 """
 
-import csv
 import hashlib
 import math
 import os
@@ -28,7 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._fileio import atomic_text, fmt
+from ._fileio import (SUMMARY_HEADER, atomic_text, csv_rows, data_lines,
+                      finite_floats, fmt, write_csv)
 from .errors import EmptyCloud, GenerationError, ParseError, UnknownTier
 from .noise import _SEED_MASK, NoiseParams, corrupt_cloud
 
@@ -77,10 +78,9 @@ class TierConfig:
             raise ValueError("tier 'none' must carry all-zero noise parameters")
 
 
-def preset_config(name, sensor=DEFAULT_SENSOR, normal_k=DEFAULT_NORMAL_K, global_seed=0):
+def preset_config(name, global_seed=0):
     """TierConfig for a built-in tier name."""
-    return TierConfig(name=name, params=tier_params(name), sensor=sensor,
-                      normal_k=normal_k, global_seed=global_seed)
+    return TierConfig(name=name, params=tier_params(name), global_seed=global_seed)
 
 
 def sample_seed(global_seed, sample_id):
@@ -99,24 +99,12 @@ def sample_seed(global_seed, sample_id):
 def read_cloud(path):
     """Parse a clean cloud file into an (n, 3) float64 array of finite values."""
     points = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(f"expected 3 fields, got {len(parts)}",
-                                 path=path, line=lineno)
-            try:
-                row = [float(p) for p in parts]
-            except ValueError:
-                raise ParseError(f"bad float in {parts!r}", path=path,
-                                 line=lineno) from None
-            if not all(map(math.isfinite, row)):
-                raise ParseError(f"non-finite coordinate in {parts!r}",
-                                 path=path, line=lineno)
-            points.append(row)
+    for lineno, line in data_lines(path):
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(f"expected 3 fields, got {len(parts)}",
+                             path=path, line=lineno)
+        points.append(finite_floats(parts, path, lineno))
     if not points:
         raise EmptyCloud(f"{path}: no points")
     return np.asarray(points, dtype=np.float64)
@@ -154,36 +142,25 @@ class AnnotatedColumns(NamedTuple):
 
 def read_annotated(path):
     """Parse an annotated cloud file back into its columns."""
-    points, sigma, mu, outlier = [], [], [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ParseError(f"expected 6 fields, got {len(parts)}",
-                                 path=path, line=lineno)
-            try:
-                points.append([float(p) for p in parts[:3]])
-                sigma.append(float(parts[3]))
-                mu.append(float(parts[4]))
-                flag = int(parts[5])
-            except ValueError:
-                raise ParseError(f"bad field in {parts!r}", path=path,
-                                 line=lineno) from None
-            if flag not in (0, 1):
-                raise ParseError(f"outlier flag must be 0 or 1, got {parts[5]}",
-                                 path=path, line=lineno)
-            outlier.append(bool(flag))
-    if not points:
+    rows = []
+    for lineno, line in data_lines(path):
+        parts = line.split()
+        if len(parts) != 6:
+            raise ParseError(f"expected 6 fields, got {len(parts)}",
+                             path=path, line=lineno)
+        try:
+            flag = int(parts[5])
+        except ValueError:
+            flag = None
+        if flag not in (0, 1):
+            raise ParseError(f"outlier flag must be 0 or 1, got {parts[5]}",
+                             path=path, line=lineno)
+        rows.append(finite_floats(parts[:5], path, lineno) + [flag])
+    if not rows:
         raise EmptyCloud(f"{path}: no points")
-    return AnnotatedColumns(
-        points=np.asarray(points, dtype=np.float64),
-        sigma=np.asarray(sigma, dtype=np.float64),
-        mu=np.asarray(mu, dtype=np.float64),
-        outlier=np.asarray(outlier, dtype=bool),
-    )
+    table = np.asarray(rows, dtype=np.float64)
+    return AnnotatedColumns(points=table[:, :3], sigma=table[:, 3], mu=table[:, 4],
+                            outlier=table[:, 5] == 1)
 
 
 @dataclass(frozen=True)
@@ -211,33 +188,23 @@ def read_manifest(path):
     path = Path(path)
     entries = []
     seen = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["sample_id", "label", "path"]:
-            raise ParseError(f"bad manifest header {header!r}", path=path, line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 columns, got {len(row)}",
-                                 path=path, line=lineno)
-            sid, label_s, rel = row
-            if sid in ("", ".", "..") or "/" in sid or "\\" in sid:
-                raise ParseError(f"sample_id {sid!r} is not a plain file name",
-                                 path=path, line=lineno)
-            if sid in seen:
-                raise ParseError(f"duplicate sample_id {sid!r}", path=path, line=lineno)
-            seen.add(sid)
-            try:
-                label = int(label_s)
-            except ValueError:
-                raise ParseError(f"bad label {label_s!r}", path=path,
-                                 line=lineno) from None
-            if label < 0:
-                raise ParseError(f"label must be >= 0, got {label}",
-                                 path=path, line=lineno)
-            entries.append(SampleEntry(sample_id=sid, label=label, path=rel))
+    for lineno, (sid, label_s, rel) in csv_rows(
+            path, "manifest", lambda header: header == ["sample_id", "label", "path"]):
+        if sid in ("", ".", "..") or "/" in sid or "\\" in sid:
+            raise ParseError(f"sample_id {sid!r} is not a plain file name",
+                             path=path, line=lineno)
+        if sid in seen:
+            raise ParseError(f"duplicate sample_id {sid!r}", path=path, line=lineno)
+        seen.add(sid)
+        try:
+            label = int(label_s)
+        except ValueError:
+            raise ParseError(f"bad label {label_s!r}", path=path,
+                             line=lineno) from None
+        if label < 0:
+            raise ParseError(f"label must be >= 0, got {label}",
+                             path=path, line=lineno)
+        entries.append(SampleEntry(sample_id=sid, label=label, path=rel))
     if not entries:
         raise ParseError("manifest has no samples", path=path)
     return Manifest(entries=entries, base_dir=path.parent)
@@ -247,44 +214,35 @@ _TIER_CONFIG_KEYS = ("a", "b", "c", "k", "p_out", "sensor_x", "sensor_y",
                      "sensor_z", "normal_k", "global_seed")
 
 
-def read_tier_config(path, name="custom"):
-    """Parse a key=value tier override file into a TierConfig.
+def read_tier_config(path):
+    """Parse a key=value tier override file into a TierConfig named "custom".
 
     Missing keys keep their defaults: zero-noise parameters, sensor
     (0, -2, 0), normal_k 16, global_seed 0. Unknown keys are fatal.
     """
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError("expected key=value", path=path, line=lineno)
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
-            if key not in _TIER_CONFIG_KEYS:
-                raise ParseError(f"unknown key {key!r}", path=path, line=lineno)
-            if key in values:
-                raise ParseError(f"duplicate key {key!r}", path=path, line=lineno)
-            try:
-                values[key] = int(val) if key in ("normal_k", "global_seed") else float(val)
-            except ValueError:
-                raise ParseError(f"bad value for {key}: {val!r}", path=path,
-                                 line=lineno) from None
-    params = NoiseParams(
-        a=values.get("a", 0.0),
-        b=values.get("b", 0.0),
-        c=values.get("c", 0.0),
-        k=values.get("k", 0.0),
-        p_out=values.get("p_out", 0.0),
-    )
+    for lineno, line in data_lines(path):
+        if "=" not in line:
+            raise ParseError("expected key=value", path=path, line=lineno)
+        key, _, val = line.partition("=")
+        key = key.strip()
+        val = val.strip()
+        if key not in _TIER_CONFIG_KEYS:
+            raise ParseError(f"unknown key {key!r}", path=path, line=lineno)
+        if key in values:
+            raise ParseError(f"duplicate key {key!r}", path=path, line=lineno)
+        try:
+            values[key] = int(val) if key in ("normal_k", "global_seed") else float(val)
+        except ValueError:
+            raise ParseError(f"bad value for {key}: {val!r}", path=path,
+                             line=lineno) from None
     sensor = (values.get("sensor_x", DEFAULT_SENSOR[0]),
               values.get("sensor_y", DEFAULT_SENSOR[1]),
               values.get("sensor_z", DEFAULT_SENSOR[2]))
     try:
-        return TierConfig(name=name, params=params, sensor=sensor,
+        params = NoiseParams(**{key: values.get(key, 0.0)
+                                for key in ("a", "b", "c", "k", "p_out")})
+        return TierConfig(name="custom", params=params, sensor=sensor,
                           normal_k=values.get("normal_k", DEFAULT_NORMAL_K),
                           global_seed=values.get("global_seed", 0))
     except ValueError as exc:
@@ -324,8 +282,9 @@ def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False
     Layout: out_dir/<tier>/<sample_id>.xyzn plus out_dir/<tier>/summary.csv.
     Each sample is seeded by sample_seed(config.global_seed, sample_id), so
     output bytes do not depend on `threads` or scheduling order. By default
-    the first failing sample raises GenerationError; with keep_going the
-    remaining samples still run and failures are collected in the summary.
+    the first failing sample raises GenerationError once the samples already
+    written are removed again; with keep_going the remaining samples still
+    run and failures are collected in the summary.
     """
     out_dir = Path(out_dir)
     tier_dir = out_dir / config.name
@@ -348,18 +307,18 @@ def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False
             except Exception as exc:
                 sample_id = futures[fut].sample_id
                 if not keep_going:
-                    for pending in futures:
-                        pending.cancel()
+                    # cancel what has not started, let running samples finish,
+                    # then remove every sample file written so far
+                    pool.shutdown(cancel_futures=True)
+                    for done, entry in futures.items():
+                        if not done.cancelled() and done.exception() is None:
+                            (tier_dir / f"{entry.sample_id}.xyzn").unlink(missing_ok=True)
                     raise GenerationError(sample_id, exc) from exc
                 failures.append((sample_id, str(exc)))
 
     rows.sort(key=lambda r: r[0])
-    with atomic_text(tier_dir / "summary.csv") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "label", "mean_sigma", "mean_mu",
-                         "outlier_count"])
-        for sid, label, ms, mm, oc in rows:
-            writer.writerow([sid, label, fmt(ms), fmt(mm), oc])
+    write_csv(tier_dir / "summary.csv", SUMMARY_HEADER,
+              ([sid, label, fmt(ms), fmt(mm), oc] for sid, label, ms, mm, oc in rows))
 
     mean_sigma = float(np.mean([r[2] for r in rows])) if rows else 0.0
     failures.sort(key=lambda f: f[0])

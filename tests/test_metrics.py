@@ -384,6 +384,14 @@ def test_read_predictions_errors(tmp_path):
         read_predictions(after_blank)
     assert info.value.line == 5
 
+    # a quoted id spanning two lines: errors cite the line a record starts on
+    multiline = tmp_path / "q.csv"
+    multiline.write_text('sample_id,true_label,p_0,p_1\n'
+                         '"two\nlines",0,0.5,0.5\nb,1,0.5,0.5\nc,0,-0.5,1.5\n')
+    with pytest.raises(ParseError) as info:
+        read_predictions(multiline)
+    assert info.value.line == 5
+
     for bad in ("nan", "inf", "-inf"):
         non_finite = tmp_path / "n.csv"
         non_finite.write_text("sample_id,true_label,p_0,p_1\n"
@@ -402,8 +410,9 @@ def test_read_predictions_errors(tmp_path):
 
     short_row = tmp_path / "r.csv"
     short_row.write_text("sample_id,true_label,p_0,p_1\na,0,0.5\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         read_predictions(short_row)
+    assert info.value.line == 2
 
     empty = tmp_path / "e.csv"
     empty.write_text("sample_id,true_label,p_0,p_1\n")

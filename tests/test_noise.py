@@ -20,6 +20,8 @@ def test_params_validation():
         NoiseParams(a=0.0, b=0.0, c=0.0, k=0.0, p_out=1.5)
     with pytest.raises(ValueError):
         NoiseParams(a=0.0, b=-1.0, c=0.0, k=0.0, p_out=0.0)
+    with pytest.raises(ValueError):
+        NoiseParams(a=0.0, b=0.0, c=0.0, k=float("inf"), p_out=0.0)
 
 
 def test_sigma_range_examples():

@@ -9,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 
 from conftest import tree_digest, unit_sphere_cloud, write_benchmark_manifest
@@ -101,6 +104,28 @@ def test_read_cloud_rejects_non_finite(tmp_path, token):
     assert info.value.line == 3
 
 
+_EDGE_FLOATS = (-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308)
+_NOT_A_LINE = st.text(st.characters(blacklist_categories=("Cs",),
+                                    blacklist_characters="\r\n"), max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cloud_roundtrip_with_comments(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 10))
+    pts = data.draw(arrays(np.float64, (n, 3), elements=st.one_of(
+        st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))))
+    path = tmp_path_factory.mktemp("cloud") / "cloud.xyz"
+    write_cloud(path, pts)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    # a comment or blank line before each point line, or after the last
+    for i in sorted(data.draw(st.lists(st.integers(0, n), max_size=6)), reverse=True):
+        lines.insert(i, data.draw(st.one_of(st.sampled_from(["", "  ", "\t"]),
+                                            _NOT_A_LINE.map(lambda t: "#" + t))))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert read_cloud(path).tobytes() == pts.tobytes()
+
+
 def test_annotated_roundtrip(tmp_path):
     pts = unit_sphere_cloud(128, seed=41)
     ann = corrupt_cloud(pts, (0.0, -2.0, 0.0), tier_params("heavy"), k=16, seed=3)
@@ -117,11 +142,17 @@ def test_annotated_roundtrip(tmp_path):
     assert_array_equal(cols.outlier, ann.outlier)
 
 
-def test_read_annotated_rejects_bad_flag(tmp_path):
+@pytest.mark.parametrize("row", ["0 0 1 0.1 0.0 2", "0 0 1 0.1 0.0 x",
+                                 "nan 0 1 0.1 0.0 0", "0 0 1 inf 0.0 0",
+                                 "0 0 1 0.1 -inf 0", "0 0 1 0.1 0.0"],
+                         ids=["flag-2", "flag-x", "nan-x", "inf-sigma", "neg-inf-mu",
+                              "five-fields"])
+def test_read_annotated_rejects_bad_row(tmp_path, row):
     path = tmp_path / "bad.xyzn"
-    path.write_text("# x y z sigma mu outlier\n0 0 1 0.1 0.0 2\n")
-    with pytest.raises(ParseError):
+    path.write_text(f"0 0 1 0.1 0.0 0\n# comment\n{row}\n")
+    with pytest.raises(ParseError) as info:
         read_annotated(path)
+    assert info.value.line == 3
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -149,6 +180,13 @@ def test_manifest_validation(tmp_path):
     with pytest.raises(ParseError):
         read_manifest(neg)
 
+    # errors cite the line a record starts on, not its record number
+    multiline = tmp_path / "m4.csv"
+    multiline.write_text('sample_id,label,path\n"two\nlines",0,x.xyz\na,-1,y.xyz\n')
+    with pytest.raises(ParseError) as info:
+        read_manifest(multiline)
+    assert info.value.line == 4
+
 
 @pytest.mark.parametrize("sid", ["", ".", "..", "../../escaped", "a/b", "a\\b"])
 def test_manifest_rejects_unsafe_sample_id(tmp_path, sid):
@@ -160,6 +198,28 @@ def test_manifest_rejects_unsafe_sample_id(tmp_path, sid):
     with pytest.raises(ParseError) as info:
         read_manifest(path)
     assert info.value.line == 3
+
+
+def _safe_id(sid):
+    return sid not in ("", ".", "..") and "/" not in sid and "\\" not in sid
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_manifest_roundtrip_unicode(tmp_path_factory, data):
+    text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+    ids = data.draw(st.lists(st.one_of(text, st.sampled_from(['a,b', 'q"t', 'x\ny', 'r\rs']))
+                             .filter(_safe_id), min_size=1, max_size=8, unique=True))
+    labels = data.draw(st.lists(st.integers(0, 10**6), min_size=len(ids),
+                                max_size=len(ids)))
+    paths = data.draw(st.lists(text, min_size=len(ids), max_size=len(ids)))
+    path = tmp_path_factory.mktemp("manifest") / "m.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["sample_id", "label", "path"],
+                                  *zip(ids, labels, paths)])
+    manifest = read_manifest(path)
+    assert [(e.sample_id, e.label, e.path) for e in manifest.entries] == \
+        list(zip(ids, labels, paths))
 
 
 def test_tier_config_file(tmp_path):
@@ -188,7 +248,8 @@ def test_tier_config_rejects_unknown_key(tmp_path):
         read_tier_config(path)
 
 
-@pytest.mark.parametrize("text", ["normal_k=2\n", "sensor_x=nan\n"])
+@pytest.mark.parametrize("text", ["normal_k=2\n", "sensor_x=nan\n", "a=nan\n",
+                                  "k=inf\n", "p_out=-1\n"])
 def test_tier_config_invalid_value_is_parse_error(tmp_path, text):
     path = tmp_path / "tier.cfg"
     path.write_text(text)
@@ -258,6 +319,8 @@ def test_generate_benchmark_fail_fast(tmp_path):
     with pytest.raises(GenerationError) as info:
         generate_benchmark(manifest, preset_config("light"), tmp_path / "out")
     assert info.value.sample_id == "broken"
+    # a failed run leaves no sample files behind
+    assert not list((tmp_path / "out" / "light").glob("*.xyzn"))
 
 
 def test_generate_benchmark_keep_going(tmp_path):
