@@ -2,13 +2,14 @@
 ParseError at a file line, atomic writers and round-trip float formatting."""
 
 import csv
-import math
 import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import ParseError
+import numpy as np
+
+from .errors import EmptyCloud, ParseError
 
 SUMMARY_HEADER = ("sample_id", "label", "mean_sigma", "mean_mu", "outlier_count")
 
@@ -55,15 +56,42 @@ def data_lines(path):
                 yield lineno, line
 
 
-def finite_floats(fields, path, line):
-    """The fields as floats; ParseError at path:line unless all are finite."""
-    try:
-        values = list(map(float, fields))
-    except ValueError:
-        raise ParseError(f"bad float in {fields!r}", path=path, line=line) from None
-    if not all(map(math.isfinite, values)):
-        raise ParseError(f"non-finite value in {fields!r}", path=path, line=line)
-    return values
+def read_table(path, width):
+    """(file lines, (n, width) float64 array) of a whitespace-separated table.
+
+    Every data line (see data_lines) must hold `width` fields that float()
+    parses to finite values, else ParseError at its line; EmptyCloud when
+    there are no data lines.
+    """
+    lines, values = [], []
+    for lineno, line in data_lines(path):
+        fields = line.split()
+        if len(fields) != width:
+            raise ParseError(f"expected {width} fields, got {len(fields)}",
+                             path=path, line=lineno)
+        try:
+            values.extend(map(float, fields))
+        except ValueError:
+            raise ParseError(f"bad float in {fields!r}", path=path, line=lineno) from None
+        lines.append(lineno)
+    if not lines:
+        raise EmptyCloud(f"{path}: no points")
+    table = np.array(values, dtype=np.float64).reshape(-1, width)
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ParseError(f"non-finite value in {table[i].tolist()!r}",
+                         path=path, line=lines[i])
+    return lines, table
+
+
+def write_table(path, header, columns):
+    """Atomically write `header`, then one line per row of the parallel
+    `columns`: space-separated, each field the repr of the column's .tolist()
+    value, so floats get shortest round-trip decimals."""
+    rows = zip(*(column.tolist() for column in columns))
+    with atomic_text(path) as fh:
+        fh.write(header + "".join(" ".join(map(repr, row)) + "\n" for row in rows))
 
 
 def csv_rows(path, what, header_ok):

@@ -28,9 +28,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._fileio import (SUMMARY_HEADER, atomic_text, csv_rows, data_lines,
-                      finite_floats, fmt, write_csv)
-from .errors import EmptyCloud, GenerationError, ParseError, UnknownTier
+from ._fileio import (SUMMARY_HEADER, csv_rows, data_lines, fmt, read_table,
+                      write_csv, write_table)
+from .errors import GenerationError, ParseError, UnknownTier
+from .geometry import _as_cloud
 from .noise import _SEED_MASK, NoiseParams, corrupt_cloud
 
 DEFAULT_SENSOR = (0.0, -2.0, 0.0)
@@ -98,37 +99,21 @@ def sample_seed(global_seed, sample_id):
 
 def read_cloud(path):
     """Parse a clean cloud file into an (n, 3) float64 array of finite values."""
-    points = []
-    for lineno, line in data_lines(path):
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"expected 3 fields, got {len(parts)}",
-                             path=path, line=lineno)
-        points.append(finite_floats(parts, path, lineno))
-    if not points:
-        raise EmptyCloud(f"{path}: no points")
-    return np.asarray(points, dtype=np.float64)
+    return read_table(path, 3)[1]
 
 
 def write_cloud(path, points):
-    """Write a clean cloud with round-trip-exact coordinates."""
-    pts = np.asarray(points, dtype=np.float64)
-    with atomic_text(path) as fh:
-        for row in pts:
-            fh.write(f"{fmt(row[0])} {fmt(row[1])} {fmt(row[2])}\n")
+    """Write an (n, 3) clean cloud with round-trip-exact coordinates."""
+    write_table(path, "", _as_cloud(points).T)
 
 
-_ANNOTATED_HEADER = "# x y z sigma mu outlier"
+_ANNOTATED_HEADER = "# x y z sigma mu outlier\n"
 
 
 def write_annotated(path, ann):
     """Write an AnnotatedCloud's corrupted points and per-point annotations."""
-    with atomic_text(path) as fh:
-        fh.write(_ANNOTATED_HEADER + "\n")
-        for i in range(len(ann)):
-            x, y, z = ann.corrupted[i]
-            fh.write(f"{fmt(x)} {fmt(y)} {fmt(z)} {fmt(ann.sigma[i])} "
-                     f"{fmt(ann.mu[i])} {1 if ann.outlier[i] else 0}\n")
+    write_table(path, _ANNOTATED_HEADER, [*ann.corrupted.T, ann.sigma, ann.mu,
+                                          ann.outlier.astype(np.int8)])
 
 
 class AnnotatedColumns(NamedTuple):
@@ -142,25 +127,15 @@ class AnnotatedColumns(NamedTuple):
 
 def read_annotated(path):
     """Parse an annotated cloud file back into its columns."""
-    rows = []
-    for lineno, line in data_lines(path):
-        parts = line.split()
-        if len(parts) != 6:
-            raise ParseError(f"expected 6 fields, got {len(parts)}",
-                             path=path, line=lineno)
-        try:
-            flag = int(parts[5])
-        except ValueError:
-            flag = None
-        if flag not in (0, 1):
-            raise ParseError(f"outlier flag must be 0 or 1, got {parts[5]}",
-                             path=path, line=lineno)
-        rows.append(finite_floats(parts[:5], path, lineno) + [flag])
-    if not rows:
-        raise EmptyCloud(f"{path}: no points")
-    table = np.asarray(rows, dtype=np.float64)
+    lines, table = read_table(path, 6)
+    flag = table[:, 5]
+    bad = (flag != 0.0) & (flag != 1.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ParseError(f"outlier flag must be 0 or 1, got {float(flag[i])!r}",
+                         path=path, line=lines[i])
     return AnnotatedColumns(points=table[:, :3], sigma=table[:, 3], mu=table[:, 4],
-                            outlier=table[:, 5] == 1)
+                            outlier=flag == 1.0)
 
 
 @dataclass(frozen=True)

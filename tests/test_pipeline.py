@@ -15,8 +15,8 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 
 from conftest import tree_digest, unit_sphere_cloud, write_benchmark_manifest
-from noisebench import (EmptyCloud, GenerationError, NoiseParams, ParseError,
-                        TIER_NAMES, TierConfig, UnknownTier, corrupt_cloud,
+from noisebench import (AnnotatedCloud, EmptyCloud, GenerationError, NoiseParams,
+                        ParseError, TIER_NAMES, TierConfig, UnknownTier, corrupt_cloud,
                         generate_benchmark, preset_config, read_annotated,
                         read_cloud, read_manifest, read_tier_config,
                         sample_seed, tier_params, write_annotated, write_cloud)
@@ -113,17 +113,36 @@ _NOT_A_LINE = st.text(st.characters(blacklist_categories=("Cs",),
 @given(st.data())
 def test_cloud_roundtrip_with_comments(tmp_path_factory, data):
     n = data.draw(st.integers(1, 10))
-    pts = data.draw(arrays(np.float64, (n, 3), elements=st.one_of(
-        st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))))
-    path = tmp_path_factory.mktemp("cloud") / "cloud.xyz"
-    write_cloud(path, pts)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    # a comment or blank line before each point line, or after the last
-    for i in sorted(data.draw(st.lists(st.integers(0, n), max_size=6)), reverse=True):
-        lines.insert(i, data.draw(st.one_of(st.sampled_from(["", "  ", "\t"]),
-                                            _NOT_A_LINE.map(lambda t: "#" + t))))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert read_cloud(path).tobytes() == pts.tobytes()
+    floats = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    pts = data.draw(arrays(np.float64, (n, 3), elements=floats))
+    sigma, mu = (data.draw(arrays(np.float64, n, elements=floats)) for _ in range(2))
+    outlier = data.draw(arrays(np.bool_, n))
+    ann = AnnotatedCloud(clean=pts, corrupted=pts, sigma=sigma, mu=mu, r=sigma,
+                         cos_theta=mu, outlier=outlier, degenerate_normal=outlier)
+    tmp = tmp_path_factory.mktemp("cloud")
+    write_cloud(tmp / "cloud.xyz", pts)
+    write_annotated(tmp / "cloud.xyzn", ann)
+    for path in (tmp / "cloud.xyz", tmp / "cloud.xyzn"):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        # a comment or blank line before any line, or after the last
+        for i in sorted(data.draw(st.lists(st.integers(0, len(lines)), max_size=6)),
+                        reverse=True):
+            lines.insert(i, data.draw(st.one_of(st.sampled_from(["", "  ", "\t"]),
+                                                _NOT_A_LINE.map(lambda t: "#" + t))))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert read_cloud(tmp / "cloud.xyz").tobytes() == pts.tobytes()
+    cols = read_annotated(tmp / "cloud.xyzn")
+    for got, want in zip(cols, (pts, sigma, mu, outlier)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_write_cloud_rejects_wrong_width(tmp_path, width):
+    path = tmp_path / "cloud.xyz"
+    with pytest.raises(ValueError):
+        write_cloud(path, np.zeros((5, width)))
+    assert not path.exists()
 
 
 def test_annotated_roundtrip(tmp_path):
@@ -143,16 +162,24 @@ def test_annotated_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("row", ["0 0 1 0.1 0.0 2", "0 0 1 0.1 0.0 x",
+                                 "0 0 1 0.1 0.0 0.5", "0 0 1 0.1 0.0 nan",
                                  "nan 0 1 0.1 0.0 0", "0 0 1 inf 0.0 0",
                                  "0 0 1 0.1 -inf 0", "0 0 1 0.1 0.0"],
-                         ids=["flag-2", "flag-x", "nan-x", "inf-sigma", "neg-inf-mu",
-                              "five-fields"])
+                         ids=["flag-2", "flag-x", "flag-0.5", "flag-nan", "nan-x",
+                              "inf-sigma", "neg-inf-mu", "five-fields"])
 def test_read_annotated_rejects_bad_row(tmp_path, row):
     path = tmp_path / "bad.xyzn"
     path.write_text(f"0 0 1 0.1 0.0 0\n# comment\n{row}\n")
     with pytest.raises(ParseError) as info:
         read_annotated(path)
     assert info.value.line == 3
+
+
+def test_read_annotated_reads_float_flags(tmp_path):
+    # the flag is parsed like every other field: any spelling of 0 or 1
+    path = tmp_path / "flags.xyzn"
+    path.write_text("0 0 1 0.1 0.0 1.0\n0 0 1 0.1 0.0 1e0\n0 0 1 0.1 0.0 -0.0\n")
+    assert read_annotated(path).outlier.tolist() == [True, True, False]
 
 
 def test_manifest_roundtrip(tmp_path):
