@@ -3,7 +3,6 @@ ParseError at a file line, atomic writers and round-trip float formatting."""
 
 import csv
 import os
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -24,11 +23,14 @@ def atomic_text(path):
     """Open a temp file next to `path` and rename it over on success.
 
     Readers never observe a partially written file; on error the temp file
-    is removed and the destination is left untouched.
+    is removed and the destination is left untouched. The file gets mode
+    0o666 less the process umask, as open(path, "w") would give it.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0),
+                 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
@@ -47,9 +49,26 @@ def write_csv(path, header, rows):
         csv.writer(fh).writerows([header, *rows])
 
 
+@contextmanager
+def _utf8(path):
+    """Turn a UnicodeDecodeError while reading `path` into a ParseError naming
+    it, at the line of its first byte that is not UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+            line = None  # the file changed since; no line to point at
+        except UnicodeDecodeError as first:
+            line = data.count(b"\n", 0, first.start) + 1
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path,
+                         line=line) from None
+
+
 def data_lines(path):
     """Yield (file line, stripped line) of each non-blank, non-'#' line."""
-    with open(path, encoding="utf-8") as fh:
+    with _utf8(path), open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line and not line.startswith("#"):
@@ -102,7 +121,7 @@ def csv_rows(path, what, header_ok):
     header's. That line is where the record starts, even after a quoted
     field spanning lines.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with _utf8(path), open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or not header_ok(header):

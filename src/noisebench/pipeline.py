@@ -6,8 +6,10 @@ is a ParseError citing its file line (for CSV, where its record starts).
 
   clean cloud     one point per line, "x y z"
   annotated cloud header "# x y z sigma mu outlier", then one point per
-                  line with six space-separated fields; outlier is 0 or 1;
-                  floats use shortest round-trip decimals
+                  line with six space-separated fields; floats use
+                  shortest round-trip decimals; outlier is written 0 or 1
+                  and read like the other fields, so any float spelling
+                  of 0 or 1 (e.g. 1.0) is accepted
   manifest        CSV with header sample_id,label,path; paths are resolved
                   relative to the manifest's directory
   sigma summary   CSV with header sample_id,label,mean_sigma,mean_mu,
@@ -259,11 +261,14 @@ def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False
     output bytes do not depend on `threads` or scheduling order. By default
     the first failing sample raises GenerationError once the samples already
     written are removed again; with keep_going the remaining samples still
-    run and failures are collected in the summary.
+    run and failures are collected in the summary. An earlier run's
+    summary.csv is removed before the first sample runs, so a failed rerun
+    leaves no summary listing samples it removed.
     """
     out_dir = Path(out_dir)
     tier_dir = out_dir / config.name
     tier_dir.mkdir(parents=True, exist_ok=True)
+    (tier_dir / "summary.csv").unlink(missing_ok=True)
     if threads is None:
         threads = min(32, os.cpu_count() or 1)
     threads = max(1, int(threads))

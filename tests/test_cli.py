@@ -216,6 +216,27 @@ def test_evaluate_non_finite_input_exit_1(tmp_path, capsys, pred_row, sigma):
     assert ".csv:3:" in captured.err
 
 
+@pytest.mark.parametrize("bad", ["manifest", "tier", "predictions"])
+def test_non_utf8_input_exit_1(tmp_path, capsys, bad):
+    manifest = write_benchmark_manifest(tmp_path, 1, 48, seed=91)
+    tier = tmp_path / "tier.cfg"
+    tier.write_text("a=0.01\n")
+    preds = tmp_path / "preds.csv"
+    write_predictions(preds, [("s0000", 0, [0.6, 0.3, 0.1])])
+    summary = tmp_path / "summary.csv"
+    summary.write_text("sample_id,label,mean_sigma,mean_mu,outlier_count\n"
+                       "s0000,0,0.01,0.0,0\n")
+    path = {"manifest": manifest, "tier": tier, "predictions": preds}[bad]
+    line = path.read_bytes().count(b"\n") + 1
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    args = (["evaluate", str(preds), str(summary)] if bad == "predictions" else
+            ["corrupt", str(manifest), str(tier), str(tmp_path / "out")])
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"{path}:{line}:" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("args", [
     ["evaluate", "{p}", "{s}", "--bins", "0"],
     ["stratify", "--preds", "{p}", "--sigmas", "{s}", "--bins", "0"],

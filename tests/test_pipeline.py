@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import importlib.util
+import os
 import struct
 import sys
 from pathlib import Path
@@ -15,11 +16,12 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 
 from conftest import tree_digest, unit_sphere_cloud, write_benchmark_manifest
-from noisebench import (AnnotatedCloud, EmptyCloud, GenerationError, NoiseParams,
-                        ParseError, TIER_NAMES, TierConfig, UnknownTier, corrupt_cloud,
-                        generate_benchmark, preset_config, read_annotated,
-                        read_cloud, read_manifest, read_tier_config,
-                        sample_seed, tier_params, write_annotated, write_cloud)
+from noisebench import (DEFAULT_NORMAL_K, AnnotatedCloud, EmptyCloud,
+                        GenerationError, NoiseParams, ParseError, TIER_NAMES,
+                        TierConfig, UnknownTier, corrupt_cloud, generate_benchmark,
+                        preset_config, read_annotated, read_cloud, read_manifest,
+                        read_tier_config, sample_seed, tier_params,
+                        write_annotated, write_cloud)
 
 
 def test_tier_names_mild_to_harsh():
@@ -93,6 +95,12 @@ def test_read_cloud_errors(tmp_path):
     empty.write_text("# nothing here\n")
     with pytest.raises(EmptyCloud):
         read_cloud(empty)
+
+    latin1 = tmp_path / "latin1.xyz"
+    latin1.write_bytes(b"1 2 3\n# caf\xe9\n4 5 6\n")
+    with pytest.raises(ParseError) as info:
+        read_cloud(latin1)
+    assert (info.value.path, info.value.line) == (latin1, 2)
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
@@ -309,12 +317,31 @@ def test_generate_benchmark_layout_and_summary(tmp_path):
         assert int(outlier_count) == int(cols.outlier.sum())
 
 
-def test_generate_benchmark_thread_invariant(tmp_path):
-    manifest = read_manifest(write_benchmark_manifest(tmp_path, 8, 48, seed=60))
-    config = preset_config("moderate", global_seed=3)
-    generate_benchmark(manifest, config, tmp_path / "one", threads=1)
-    generate_benchmark(manifest, config, tmp_path / "many", threads=8)
-    assert tree_digest(tmp_path / "one") == tree_digest(tmp_path / "many")
+_SAMPLE_IDS = st.text(st.characters(whitelist_categories=("L", "Nd"),
+                                    whitelist_characters="-_."),
+                      min_size=1, max_size=8).filter(_safe_id)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_generate_benchmark_thread_invariant(tmp_path_factory, data):
+    root = tmp_path_factory.mktemp("invariant")
+    (root / "clouds").mkdir()
+    ids = data.draw(st.lists(_SAMPLE_IDS, min_size=1, max_size=5, unique=True))
+    rows = []
+    for i, sid in enumerate(ids):
+        n_points = data.draw(st.integers(DEFAULT_NORMAL_K + 1, 64))
+        cloud_seed = data.draw(st.integers(0, 2**32 - 1))
+        write_cloud(root / "clouds" / f"{i}.xyz", unit_sphere_cloud(n_points, cloud_seed))
+        rows.append([sid, data.draw(st.integers(0, 39)), f"clouds/{i}.xyz"])
+    with open(root / "manifest.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["sample_id", "label", "path"], *rows])
+    manifest = read_manifest(root / "manifest.csv")
+    config = preset_config(data.draw(st.sampled_from(TIER_NAMES)),
+                           global_seed=data.draw(st.integers(0, 2**64 - 1)))
+    generate_benchmark(manifest, config, root / "one", threads=1)
+    generate_benchmark(manifest, config, root / "two", threads=2)
+    assert tree_digest(root / "one") == tree_digest(root / "two")
 
 
 def test_generate_benchmark_repeat_identical(tmp_path):
@@ -350,6 +377,20 @@ def test_generate_benchmark_fail_fast(tmp_path):
     assert not list((tmp_path / "out" / "light").glob("*.xyzn"))
 
 
+def test_generate_benchmark_failed_rerun_removes_summary(tmp_path):
+    manifest_path = write_benchmark_manifest(tmp_path, 3, 48, seed=65)
+    out = tmp_path / "out"
+    generate_benchmark(read_manifest(manifest_path), preset_config("light"), out,
+                       threads=1)
+    with open(manifest_path, "a", encoding="utf-8") as fh:
+        fh.write("broken,0,clouds/missing.xyz\n")
+    with pytest.raises(GenerationError):
+        generate_benchmark(read_manifest(manifest_path), preset_config("light"), out,
+                           threads=1)
+    # no summary is left listing samples whose files the failed run removed
+    assert not (out / "light" / "summary.csv").exists()
+
+
 def test_generate_benchmark_keep_going(tmp_path):
     manifest_path = write_benchmark_manifest(tmp_path, 3, 48, seed=64)
     with open(manifest_path, "a", encoding="utf-8") as fh:
@@ -374,6 +415,18 @@ def test_atomic_write_leaves_no_partial_file(tmp_path):
             raise RuntimeError("boom")
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_applies_umask(tmp_path):
+    from noisebench._fileio import atomic_text
+
+    old = os.umask(0o027)
+    try:
+        with atomic_text(tmp_path / "out.txt") as fh:
+            fh.write("x")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out.txt").stat().st_mode & 0o777 == 0o640
 
 
 def test_bench_tracer_targets_exist(monkeypatch):
