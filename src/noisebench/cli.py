@@ -69,7 +69,7 @@ def build_parser():
                    help="sensor position (default 0,-2,0)")
     p.add_argument("--scale", type=_parse_scale, default=None,
                    help="uniform coordinate scale applied before corruption")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_parse_count, default=None,
                    help="worker cap (default: available parallelism)")
     p.add_argument("--keep-going", action="store_true",
                    help="continue past failing samples and report them")

@@ -19,6 +19,11 @@ _KNN_BLOCK = 1 << 20
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
 
+# largest |coordinate| c that estimate_normals accepts. The kNN's squared
+# distances stay under 16 c^2 and a neighborhood's covariance sums under
+# 4 k c^2, so both are finite for any k below 4e7; c ~ 1e154 overflows d^2
+_MAX_COORD = 1e150
+
 
 class NormalEstimate(NamedTuple):
     """Per-point unit normals plus a flag for ill-conditioned neighborhoods."""
@@ -100,9 +105,11 @@ def _knn_indices(pts, k):
     slack = 128.0 * (_EPS * sq.max() + _TINY)
     # cell side that puts k points in a cell when they fill the bounding
     # box's 1-, 2- or 3-d hull; the largest of the three sizes flat and thin
-    # clouds for their real extent. It only affects speed.
+    # clouds for their real extent. It only affects speed. Sides relative to
+    # the longest keep the products from overflowing on huge extents.
     side = np.sort(extent)[::-1]
-    h = max((np.prod(side[:d]) * k / n) ** (1.0 / d) for d in (1, 2, 3)) or 1.0
+    rel = side / (side[0] or 1.0)
+    h = side[0] * max((np.prod(rel[:d]) * k / n) ** (1.0 / d) for d in (1, 2, 3)) or 1.0
 
     out = np.empty((n, k), dtype=np.intp)
     todo = np.arange(n)
@@ -192,8 +199,9 @@ def estimate_normals(points, k, sensor):
     sets included); those points fall back to the unit vector pointing at
     the sensor and are flagged.
 
-    :param points: (n, 3) cloud of finite coordinates (ValueError
-        otherwise); n must exceed k.
+    :param points: (n, 3) cloud of finite coordinates no larger than 1e150
+        in magnitude (ValueError otherwise; beyond that squared distances
+        overflow); n must exceed k.
     :param k: neighborhood size, at least 3.
     :param sensor: sensor position, 3-vector.
     :returns: NormalEstimate(vectors, degenerate).
@@ -205,8 +213,9 @@ def estimate_normals(points, k, sensor):
     n = len(pts)
     if n <= k:
         raise InsufficientPoints(f"need more than k={k} points, got {n}")
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite")
+    if not (np.abs(pts) <= _MAX_COORD).all():  # also false for nan and inf
+        raise ValueError(f"points must be finite and within +-{_MAX_COORD:g}, "
+                         "beyond which squared distances overflow")
 
     nbrs = _knn_indices(pts, k)
     nbhd = pts[nbrs]                                   # (n, k, 3)

@@ -204,8 +204,8 @@ def corrupt_cloud(points, sensor, params, k=16, seed=0):
     :returns: AnnotatedCloud.
     """
     pts = _as_cloud(points)
-    r = range_to_sensor(pts, sensor)
     normals = estimate_normals(pts, k, sensor)
+    r = range_to_sensor(pts, sensor)
     cos_t = incidence_cosine(pts, normals.vectors, sensor)
     sigma = point_sigma(r, cos_t, params)
     mu = bias_mu(cos_t, params.k)

@@ -23,6 +23,7 @@ import hashlib
 import math
 import os
 import struct
+import tempfile
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -259,46 +260,47 @@ def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False
     Layout: out_dir/<tier>/<sample_id>.xyzn plus out_dir/<tier>/summary.csv.
     Each sample is seeded by sample_seed(config.global_seed, sample_id), so
     output bytes do not depend on `threads` or scheduling order. By default
-    the first failing sample raises GenerationError once the samples already
-    written are removed again; with keep_going the remaining samples still
-    run and failures are collected in the summary. An earlier run's
-    summary.csv is removed before the first sample runs, so a failed rerun
-    leaves no summary listing samples it removed.
+    the first failing sample raises GenerationError; with keep_going the
+    remaining samples still run and failures are collected in the summary.
+    The tree is built in a hidden out_dir/.<tier>.* directory and replaces
+    out_dir/<tier> only when the run finishes, so a failed or interrupted
+    run leaves an earlier tree as it was. A killed run may leave that
+    hidden directory behind (holding the earlier tree as `old` if killed
+    between the two renames); delete it by hand.
     """
     out_dir = Path(out_dir)
-    tier_dir = out_dir / config.name
-    tier_dir.mkdir(parents=True, exist_ok=True)
-    (tier_dir / "summary.csv").unlink(missing_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if threads is None:
         threads = min(32, os.cpu_count() or 1)
-    threads = max(1, int(threads))
 
     rows = []
     failures = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {
-            pool.submit(_corrupt_one, entry, config, scale, tier_dir,
-                        manifest.base_dir): entry
-            for entry in manifest.entries
-        }
-        for fut in as_completed(futures):
-            try:
-                rows.append(fut.result())
-            except Exception as exc:
-                sample_id = futures[fut].sample_id
-                if not keep_going:
-                    # cancel what has not started, let running samples finish,
-                    # then remove every sample file written so far
-                    pool.shutdown(cancel_futures=True)
-                    for done, entry in futures.items():
-                        if not done.cancelled() and done.exception() is None:
-                            (tier_dir / f"{entry.sample_id}.xyzn").unlink(missing_ok=True)
-                    raise GenerationError(sample_id, exc) from exc
-                failures.append((sample_id, str(exc)))
+    with tempfile.TemporaryDirectory(prefix=f".{config.name}.", dir=out_dir) as work:
+        tier_dir = Path(work) / config.name
+        tier_dir.mkdir()  # 0777 less the umask, unlike the 0700 staging root
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = {
+                pool.submit(_corrupt_one, entry, config, scale, tier_dir,
+                            manifest.base_dir): entry
+                for entry in manifest.entries
+            }
+            for fut in as_completed(futures):
+                try:
+                    rows.append(fut.result())
+                except Exception as exc:
+                    sample_id = futures[fut].sample_id
+                    if not keep_going:
+                        pool.shutdown(cancel_futures=True)
+                        raise GenerationError(sample_id, exc) from exc
+                    failures.append((sample_id, str(exc)))
 
-    rows.sort(key=lambda r: r[0])
-    write_csv(tier_dir / "summary.csv", SUMMARY_HEADER,
-              ([sid, label, fmt(ms), fmt(mm), oc] for sid, label, ms, mm, oc in rows))
+        rows.sort(key=lambda r: r[0])
+        write_csv(tier_dir / "summary.csv", SUMMARY_HEADER,
+                  ([sid, label, fmt(ms), fmt(mm), oc] for sid, label, ms, mm, oc in rows))
+        # swap the finished tree in; leaving the block deletes the old one
+        if (out_dir / config.name).exists():
+            (out_dir / config.name).rename(Path(work) / "old")
+        tier_dir.rename(out_dir / config.name)
 
     mean_sigma = float(np.mean([r[2] for r in rows])) if rows else 0.0
     failures.sort(key=lambda f: f[0])

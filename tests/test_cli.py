@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,8 @@ def test_corrupt_sensor_and_scale_flags(tmp_path):
     ["--scale", "nan"],
     ["--scale", "inf"],
     ["--sensor", "nan,-2,0"],
+    ["--threads", "0"],
+    ["--threads", "-1"],
 ])
 def test_corrupt_invalid_override_is_usage_error(tmp_path, capsys, flags):
     manifest = write_benchmark_manifest(tmp_path, 1, 48, seed=88)
@@ -133,6 +136,22 @@ def test_corrupt_invalid_override_is_usage_error(tmp_path, capsys, flags):
     assert main(["corrupt", str(manifest), "light", str(out)] + flags) == 2
     assert "error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_corrupt_huge_scale_names_the_limit(tmp_path, capsys):
+    # squared distances of coordinates near 1e200 overflow; the run must
+    # say so up front instead of warning and failing somewhere inside kNN
+    manifest = write_benchmark_manifest(tmp_path, 2, 48, seed=90)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["corrupt", str(manifest), "light", str(out), "--scale", "1e200",
+                     "--threads", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "1e+150" in err and "RuntimeWarning" not in err
+    assert [str(w.message) for w in caught] == []
+    assert list(out.iterdir()) == []
 
 
 def test_corrupt_unsafe_sample_id_writes_nothing(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -320,3 +321,24 @@ def test_normals_reject_non_finite(bad):
     pts[7, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         estimate_normals(pts, 8, sensor=(0.0, -2.0, 0.0))
+
+
+@pytest.mark.parametrize("scale", [1e110, 1e150])
+def test_normals_huge_coordinates(scale):
+    # the cell-size product of the grid search used to overflow above ~1e102
+    # and fall back to one brute-force cell; d^2 overflowed above ~1e154
+    pts = unit_sphere_cloud(48, seed=14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_array_equal(_knn_indices(pts * scale, 16), _brute_force_knn(pts * scale, 16))
+        est = estimate_normals(pts * scale, 16, sensor=(0.0, -2.0, 0.0))
+    ref = estimate_normals(pts, 16, sensor=(0.0, -2.0, 0.0))
+    assert_allclose(np.abs(np.sum(est.vectors * ref.vectors, axis=1)), 1.0, atol=1e-9)
+
+
+def test_normals_reject_coordinates_that_overflow():
+    pts = unit_sphere_cloud(48, seed=14) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"1e\+150"):
+            estimate_normals(pts, 16, sensor=(0.0, -2.0, 0.0))

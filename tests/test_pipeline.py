@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import importlib.util
+import itertools
 import os
 import struct
 import sys
@@ -22,6 +23,7 @@ from noisebench import (DEFAULT_NORMAL_K, AnnotatedCloud, EmptyCloud,
                         preset_config, read_annotated, read_cloud, read_manifest,
                         read_tier_config, sample_seed, tier_params,
                         write_annotated, write_cloud)
+from noisebench import pipeline
 
 
 def test_tier_names_mild_to_harsh():
@@ -373,22 +375,71 @@ def test_generate_benchmark_fail_fast(tmp_path):
     with pytest.raises(GenerationError) as info:
         generate_benchmark(manifest, preset_config("light"), tmp_path / "out")
     assert info.value.sample_id == "broken"
-    # a failed run leaves no sample files behind
-    assert not list((tmp_path / "out" / "light").glob("*.xyzn"))
+    # a failed first run leaves nothing behind, not even a tier directory
+    assert list((tmp_path / "out").iterdir()) == []
 
 
-def test_generate_benchmark_failed_rerun_removes_summary(tmp_path):
+@pytest.mark.parametrize("case", ["fail_fast", "interrupted", "keep_going", "fewer"])
+def test_generate_benchmark_rerun_replaces_tree_whole(tmp_path, monkeypatch, case):
+    # a rerun publishes its own tree only when it finishes; a failed or
+    # interrupted rerun leaves the earlier tree byte for byte
     manifest_path = write_benchmark_manifest(tmp_path, 3, 48, seed=65)
     out = tmp_path / "out"
     generate_benchmark(read_manifest(manifest_path), preset_config("light"), out,
                        threads=1)
-    with open(manifest_path, "a", encoding="utf-8") as fh:
-        fh.write("broken,0,clouds/missing.xyz\n")
-    with pytest.raises(GenerationError):
-        generate_benchmark(read_manifest(manifest_path), preset_config("light"), out,
-                           threads=1)
-    # no summary is left listing samples whose files the failed run removed
-    assert not (out / "light" / "summary.csv").exists()
+    before = tree_digest(out / "light")
+    config = preset_config("light", global_seed=1)
+    if case == "fail_fast":
+        with open(manifest_path, "a", encoding="utf-8") as fh:
+            fh.write("broken,0,clouds/missing.xyz\n")
+        with pytest.raises(GenerationError):
+            generate_benchmark(read_manifest(manifest_path), config, out, threads=1)
+    elif case == "interrupted":
+        real, calls = pipeline._corrupt_one, itertools.count()
+
+        def interrupt_second(*args):
+            if next(calls) == 1:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "_corrupt_one", interrupt_second)
+        with pytest.raises(KeyboardInterrupt):
+            generate_benchmark(read_manifest(manifest_path), config, out, threads=1)
+    elif case == "keep_going":
+        (tmp_path / "clouds" / "s0001.xyz").unlink()
+        summary = generate_benchmark(read_manifest(manifest_path), config, out,
+                                     threads=1, keep_going=True)
+        assert [sid for sid, _ in summary.failures] == ["s0001"]
+    else:
+        manifest_path = write_benchmark_manifest(tmp_path, 2, 48, seed=65)
+        generate_benchmark(read_manifest(manifest_path), config, out, threads=1)
+
+    assert [p.name for p in out.iterdir()] == ["light"]  # no staging left
+    if case in ("fail_fast", "interrupted"):
+        assert tree_digest(out / "light") == before
+        return
+    kept = ["s0000", "s0002"] if case == "keep_going" else ["s0000", "s0001"]
+    assert sorted(p.name for p in (out / "light").iterdir()) == \
+        [f"{sid}.xyzn" for sid in kept] + ["summary.csv"]
+    lines = (out / "light" / "summary.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == kept
+
+
+def test_generate_benchmark_rejects_zero_threads(tmp_path):
+    manifest = read_manifest(write_benchmark_manifest(tmp_path, 1, 48, seed=67))
+    with pytest.raises(ValueError):
+        generate_benchmark(manifest, preset_config("light"), tmp_path / "out", threads=0)
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_generate_benchmark_tier_dir_applies_umask(tmp_path):
+    manifest = read_manifest(write_benchmark_manifest(tmp_path, 1, 48, seed=66))
+    old = os.umask(0o027)
+    try:
+        generate_benchmark(manifest, preset_config("light"), tmp_path / "out")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out" / "light").stat().st_mode & 0o777 == 0o750
 
 
 def test_generate_benchmark_keep_going(tmp_path):
