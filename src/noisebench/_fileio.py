@@ -2,6 +2,7 @@
 ParseError at a file line, atomic writers and round-trip float formatting."""
 
 import csv
+import io
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -49,30 +50,24 @@ def write_csv(path, header, rows):
         csv.writer(fh).writerows([header, *rows])
 
 
-@contextmanager
-def _utf8(path):
-    """Turn a UnicodeDecodeError while reading `path` into a ParseError naming
-    it, at the line of its first byte that is not UTF-8."""
+def _text(path):
+    """Decode the file `path` as UTF-8, read once; a byte that is not UTF-8 is
+    a ParseError at its path and line."""
+    data = Path(path).read_bytes()
     try:
-        yield
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        data = Path(path).read_bytes()
-        try:
-            data.decode("utf-8")
-            line = None  # the file changed since; no line to point at
-        except UnicodeDecodeError as first:
-            line = data.count(b"\n", 0, first.start) + 1
         raise ParseError(f"not UTF-8 text ({exc.reason})", path=path,
-                         line=line) from None
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def data_lines(path):
     """Yield (file line, stripped line) of each non-blank, non-'#' line."""
-    with _utf8(path), open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                yield lineno, line
+    # newline=None splits lines the way open() does: at "\n", "\r\n" or "\r"
+    for lineno, raw in enumerate(io.StringIO(_text(path), newline=None), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def read_table(path, width):
@@ -107,7 +102,11 @@ def read_table(path, width):
 def write_table(path, header, columns):
     """Atomically write `header`, then one line per row of the parallel
     `columns`: space-separated, each field the repr of the column's .tolist()
-    value, so floats get shortest round-trip decimals."""
+    value, so floats get shortest round-trip decimals. Raises ValueError,
+    writing nothing, if any value is not finite, as read_table would reject
+    it."""
+    if not all(np.isfinite(column).all() for column in columns):
+        raise ValueError("cannot write a non-finite value, which readers reject")
     rows = zip(*(column.tolist() for column in columns))
     with atomic_text(path) as fh:
         fh.write(header + "".join(" ".join(map(repr, row)) + "\n" for row in rows))
@@ -121,16 +120,15 @@ def csv_rows(path, what, header_ok):
     header's. That line is where the record starts, even after a quoted
     field spanning lines.
     """
-    with _utf8(path), open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not header_ok(header):
-            raise ParseError(f"bad {what} header {header!r}", path=path, line=1)
+    reader = csv.reader(io.StringIO(_text(path), newline=""))
+    header = next(reader, None)
+    if header is None or not header_ok(header):
+        raise ParseError(f"bad {what} header {header!r}", path=path, line=1)
+    start = reader.line_num + 1
+    for row in reader:
+        if row:
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} columns, got {len(row)}",
+                                 path=path, line=start)
+            yield start, row
         start = reader.line_num + 1
-        for row in reader:
-            if row:
-                if len(row) != len(header):
-                    raise ParseError(f"expected {len(header)} columns, got {len(row)}",
-                                     path=path, line=start)
-                yield start, row
-            start = reader.line_num + 1

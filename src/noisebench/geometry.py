@@ -19,9 +19,10 @@ _KNN_BLOCK = 1 << 20
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
 
-# largest |coordinate| c that estimate_normals accepts. The kNN's squared
-# distances stay under 16 c^2 and a neighborhood's covariance sums under
-# 4 k c^2, so both are finite for any k below 4e7; c ~ 1e154 overflows d^2
+# largest |coordinate| c of a point (in estimate_normals) or of the sensor.
+# The kNN's squared distances and squared view-ray lengths stay under 16 c^2
+# and a neighborhood's covariance sums under 4 k c^2, so all are finite for
+# any k below 4e7; c ~ 1e154 overflows d^2
 _MAX_COORD = 1e150
 
 
@@ -41,10 +42,23 @@ def _as_cloud(points):
 
 
 def _as_vec3(v, name):
+    """Coerce input to a float64 3-vector within +-_MAX_COORD, like points."""
     arr = np.asarray(v, dtype=np.float64).reshape(-1)
     if arr.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {np.shape(v)}")
+    if not (np.abs(arr) <= _MAX_COORD).all():  # also false for nan and inf
+        raise ValueError(f"{name} must be finite and within +-{_MAX_COORD:g}, "
+                         f"got {arr.tolist()}")
     return arr
+
+
+def _unit_rays(pts, sensor):
+    """(n, 3) unit sensor->point rays; DegenerateRay if a point is on the sensor."""
+    rays = pts - sensor
+    r = np.linalg.norm(rays, axis=1)
+    if np.any(r == 0.0):
+        raise DegenerateRay("point coincides with the sensor position")
+    return rays / r[:, None]
 
 
 def range_to_sensor(points, sensor):
@@ -56,18 +70,13 @@ def incidence_cosine(points, normals, sensor):
     """Absolute cosine between each sensor->point ray and its surface normal.
 
     Takes (n, 3) points and normals and returns (n,), clamped to [0, 1].
-    Raises DegenerateRay if any point sits exactly at the sensor position.
+    Raises DegenerateRay (via _unit_rays) if a point sits on the sensor.
     """
     pts = _as_cloud(points)
     nrm = _as_cloud(normals)
     if len(pts) != len(nrm):
         raise ValueError("points and normals must have matching shapes")
-    sensor = _as_vec3(sensor, "sensor")
-    rays = pts - sensor
-    r = np.linalg.norm(rays, axis=1)
-    if np.any(r == 0.0):
-        raise DegenerateRay("point coincides with the sensor position")
-    cos = np.abs(np.sum(rays / r[:, None] * nrm, axis=1))
+    cos = np.abs(np.sum(_unit_rays(pts, _as_vec3(sensor, "sensor")) * nrm, axis=1))
     return np.clip(cos, 0.0, 1.0)
 
 
@@ -197,13 +206,13 @@ def estimate_normals(points, k, sensor):
     A neighborhood is degenerate when its two smallest principal variances
     are indistinguishable at relative tolerance 1e-9 (collinear or isotropic
     sets included); those points fall back to the unit vector pointing at
-    the sensor and are flagged.
+    the sensor and are flagged; one that sits on the sensor raises DegenerateRay.
 
     :param points: (n, 3) cloud of finite coordinates no larger than 1e150
         in magnitude (ValueError otherwise; beyond that squared distances
         overflow); n must exceed k.
     :param k: neighborhood size, at least 3.
-    :param sensor: sensor position, 3-vector.
+    :param sensor: sensor position, 3-vector under the same bound.
     :returns: NormalEstimate(vectors, degenerate).
     """
     pts = _as_cloud(points)
@@ -227,8 +236,7 @@ def estimate_normals(points, k, sensor):
     lam0, lam1, lam2 = evals[:, 0], evals[:, 1], evals[:, 2]
     degenerate = (lam1 - lam0) <= 1e-9 * np.maximum(lam2, 0.0)
 
-    to_sensor = sensor - pts
-    flip = np.sum(normals * to_sensor, axis=1) < 0.0
+    flip = np.sum(normals * (sensor - pts), axis=1) < 0.0
     normals[flip] *= -1.0
 
     # eigh vectors are orthonormal to machine precision; renormalize anyway
@@ -236,12 +244,6 @@ def estimate_normals(points, k, sensor):
     normals /= np.linalg.norm(normals, axis=1)[:, None]
 
     if degenerate.any():
-        d = to_sensor[degenerate]
-        dist = np.linalg.norm(d, axis=1)
-        if np.any(dist == 0.0):
-            raise DegenerateRay(
-                "degenerate neighborhood at the sensor position has no fallback normal"
-            )
-        normals[degenerate] = d / dist[:, None]
+        normals[degenerate] = -_unit_rays(pts[degenerate], sensor)
 
     return NormalEstimate(vectors=normals, degenerate=degenerate)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRay
-from .geometry import estimate_normals, incidence_cosine, range_to_sensor, _as_cloud, _as_vec3
+from .geometry import (estimate_normals, incidence_cosine, range_to_sensor, _as_cloud,
+                       _as_vec3, _unit_rays)
 
 # purpose tags for per-sample random substreams; each purpose gets its own
 # counter-based stream so draws are indexed by (point order, purpose) and
@@ -89,16 +89,13 @@ def perturb_points(points, sensor, sigma, mu, rng):
     points is an (n, 3) cloud; sigma and mu are scalars or (n,) arrays,
     and eps = mu + sigma * z with z = rng.standard_normal(n): exactly n
     variates, one per point in index order. With sigma = mu = 0 the points
-    are returned bit-identical. Raises DegenerateRay if any point sits
-    exactly at the sensor position.
+    are returned bit-identical. Raises DegenerateRay (via _unit_rays), before
+    drawing, if any point sits exactly at the sensor position.
     """
     pts = _as_cloud(points)
-    rays = pts - _as_vec3(sensor, "sensor")
-    r = np.linalg.norm(rays, axis=1)
-    if np.any(r == 0.0):
-        raise DegenerateRay("point coincides with the sensor position")
+    rays = _unit_rays(pts, _as_vec3(sensor, "sensor"))
     eps = mu + sigma * rng.standard_normal(len(pts))
-    return pts + eps[:, None] * (rays / r[:, None])
+    return pts + eps[:, None] * rays
 
 
 def bounding_box(points):
@@ -196,8 +193,8 @@ def corrupt_cloud(points, sensor, params, k=16, seed=0):
     (ziggurat method), which is stable for a given numpy build.
 
     :param points: (n, 3) clean cloud, n > k (InsufficientPoints otherwise).
-    :param sensor: sensor position, 3-vector; no point may sit on it
-        (DegenerateRay otherwise).
+    :param sensor: sensor position, 3-vector within +-1e150 (ValueError
+        otherwise); no point may sit on it (DegenerateRay otherwise).
     :param params: NoiseParams tier bundle.
     :param k: normal-estimation neighborhood size.
     :param seed: 64-bit sample seed.

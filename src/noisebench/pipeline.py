@@ -20,11 +20,10 @@ is a ParseError citing its file line (for CSV, where its record starts).
 """
 
 import hashlib
-import math
 import os
 import struct
 import tempfile
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -34,7 +33,7 @@ import numpy as np
 from ._fileio import (SUMMARY_HEADER, csv_rows, data_lines, fmt, read_table,
                       write_csv, write_table)
 from .errors import GenerationError, ParseError, UnknownTier
-from .geometry import _as_cloud
+from .geometry import _as_cloud, _as_vec3
 from .noise import _SEED_MASK, NoiseParams, corrupt_cloud
 
 DEFAULT_SENSOR = (0.0, -2.0, 0.0)
@@ -70,11 +69,7 @@ class TierConfig:
     global_seed: int = 0
 
     def __post_init__(self):
-        self.sensor = tuple(float(v) for v in self.sensor)
-        if len(self.sensor) != 3:
-            raise ValueError("sensor must be a 3-vector")
-        if not all(map(math.isfinite, self.sensor)):
-            raise ValueError(f"sensor must be finite, got {self.sensor}")
+        self.sensor = tuple(_as_vec3(self.sensor, "sensor").tolist())
         if self.normal_k < 3:
             raise ValueError(f"normal_k must be >= 3, got {self.normal_k}")
         zero = NoiseParams(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -259,9 +254,12 @@ def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False
 
     Layout: out_dir/<tier>/<sample_id>.xyzn plus out_dir/<tier>/summary.csv.
     Each sample is seeded by sample_seed(config.global_seed, sample_id), so
-    output bytes do not depend on `threads` or scheduling order. By default
-    the first failing sample raises GenerationError; with keep_going the
-    remaining samples still run and failures are collected in the summary.
+    output bytes do not depend on `threads` or scheduling order. Results
+    are read in sample-id order: by default the first failing sample in
+    that order raises GenerationError, at any thread count; with keep_going
+    the remaining samples still run and failures are collected in the
+    summary. A non-finite noise result fails its sample. An error or an
+    interrupt cancels the samples not yet started.
     The tree is built in a hidden out_dir/.<tier>.* directory and replaces
     out_dir/<tier> only when the run finishes, so a failed or interrupted
     run leaves an earlier tree as it was. A killed run may leave that
@@ -273,28 +271,27 @@ def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False
     if threads is None:
         threads = min(32, os.cpu_count() or 1)
 
+    entries = sorted(manifest.entries, key=lambda e: e.sample_id)
     rows = []
     failures = []
-    with tempfile.TemporaryDirectory(prefix=f".{config.name}.", dir=out_dir) as work:
+    with tempfile.TemporaryDirectory(prefix=f".{config.name}.", dir=out_dir) as work, \
+            ThreadPoolExecutor(max_workers=threads) as pool:
         tier_dir = Path(work) / config.name
         tier_dir.mkdir()  # 0777 less the umask, unlike the 0700 staging root
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                pool.submit(_corrupt_one, entry, config, scale, tier_dir,
-                            manifest.base_dir): entry
-                for entry in manifest.entries
-            }
-            for fut in as_completed(futures):
+        futures = [pool.submit(_corrupt_one, entry, config, scale, tier_dir,
+                               manifest.base_dir) for entry in entries]
+        try:
+            for entry, fut in zip(entries, futures):
                 try:
                     rows.append(fut.result())
                 except Exception as exc:
-                    sample_id = futures[fut].sample_id
                     if not keep_going:
-                        pool.shutdown(cancel_futures=True)
-                        raise GenerationError(sample_id, exc) from exc
-                    failures.append((sample_id, str(exc)))
+                        raise GenerationError(entry.sample_id, exc) from exc
+                    failures.append((entry.sample_id, str(exc)))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
-        rows.sort(key=lambda r: r[0])
         write_csv(tier_dir / "summary.csv", SUMMARY_HEADER,
                   ([sid, label, fmt(ms), fmt(mm), oc] for sid, label, ms, mm, oc in rows))
         # swap the finished tree in; leaving the block deletes the old one
@@ -303,7 +300,6 @@ def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False
         tier_dir.rename(out_dir / config.name)
 
     mean_sigma = float(np.mean([r[2] for r in rows])) if rows else 0.0
-    failures.sort(key=lambda f: f[0])
     return GenerationSummary(tier=config.name, out_dir=out_dir,
                              sample_count=len(rows), failures=failures,
                              mean_sigma=mean_sigma)

@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import tree_digest, write_benchmark_manifest
-from noisebench import read_annotated, read_sigma_summary
+from conftest import tree_digest, unit_sphere_cloud, write_benchmark_manifest
+from noisebench import read_annotated, read_sigma_summary, write_cloud
 from noisebench.cli import main
 
 
@@ -127,6 +127,7 @@ def test_corrupt_sensor_and_scale_flags(tmp_path):
     ["--scale", "nan"],
     ["--scale", "inf"],
     ["--sensor", "nan,-2,0"],
+    ["--sensor", "0,-1e200,0"],
     ["--threads", "0"],
     ["--threads", "-1"],
 ])
@@ -235,9 +236,12 @@ def test_evaluate_non_finite_input_exit_1(tmp_path, capsys, pred_row, sigma):
     assert ".csv:3:" in captured.err
 
 
-@pytest.mark.parametrize("bad", ["manifest", "tier", "predictions"])
+@pytest.mark.parametrize("bad", ["manifest", "tier", "predictions", "cloud"])
 def test_non_utf8_input_exit_1(tmp_path, capsys, bad):
     manifest = write_benchmark_manifest(tmp_path, 1, 48, seed=91)
+    cloud = tmp_path / "clouds" / "s0000.xyz"
+    write_cloud(cloud, unit_sphere_cloud(400, seed=91))
+    assert cloud.stat().st_size > 8192  # the bad byte lies past the first 8 KiB
     tier = tmp_path / "tier.cfg"
     tier.write_text("a=0.01\n")
     preds = tmp_path / "preds.csv"
@@ -245,7 +249,7 @@ def test_non_utf8_input_exit_1(tmp_path, capsys, bad):
     summary = tmp_path / "summary.csv"
     summary.write_text("sample_id,label,mean_sigma,mean_mu,outlier_count\n"
                        "s0000,0,0.01,0.0,0\n")
-    path = {"manifest": manifest, "tier": tier, "predictions": preds}[bad]
+    path = {"manifest": manifest, "tier": tier, "predictions": preds, "cloud": cloud}[bad]
     line = path.read_bytes().count(b"\n") + 1
     path.write_bytes(path.read_bytes() + b"\xff\n")
     args = (["evaluate", str(preds), str(summary)] if bad == "predictions" else

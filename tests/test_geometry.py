@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import unit_sphere_cloud
 from noisebench import (DegenerateRay, InsufficientPoints, estimate_normals,
-                        incidence_cosine, range_to_sensor)
+                        incidence_cosine, perturb_points, range_to_sensor)
 from noisebench.geometry import _knn_indices
 
 
@@ -262,6 +262,14 @@ def test_normals_collinear_fallback():
     assert_array_equal(est.vectors, expected)
 
 
+def test_normals_collinear_point_on_sensor_raises():
+    # the fallback normal is the ray to the sensor, which a point on it lacks
+    t = np.linspace(0.0, 1.0, 30)
+    line = np.column_stack([t, t, t])
+    with pytest.raises(DegenerateRay):
+        estimate_normals(line, 5, sensor=line[7])
+
+
 def test_normals_isotropic_neighborhood_degenerate():
     # regular tetrahedron around the origin: the center point's neighborhood
     # covariance is a multiple of the identity, so no direction is preferred
@@ -342,3 +350,19 @@ def test_normals_reject_coordinates_that_overflow():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"1e\+150"):
             estimate_normals(pts, 16, sensor=(0.0, -2.0, 0.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda pts, sensor: range_to_sensor(pts, sensor),
+    lambda pts, sensor: incidence_cosine(pts, pts, sensor),
+    lambda pts, sensor: perturb_points(pts, sensor, 0.01, 0.0, np.random.default_rng(0)),
+], ids=["range_to_sensor", "incidence_cosine", "perturb_points"])
+def test_sensor_beyond_coordinate_bound_rejected(call):
+    # the sensor is held to the points' bound: beyond it squared ray lengths
+    # overflow, and ranges and cosines come out inf or nan
+    pts = unit_sphere_cloud(48, seed=15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"1e\+150"):
+            call(pts, (0.0, -1e200, 0.0))
+        call(pts, (0.0, -1e150, 0.0))  # the bound itself is accepted

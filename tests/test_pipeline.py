@@ -7,6 +7,7 @@ import itertools
 import os
 import struct
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,20 @@ def test_write_cloud_rejects_wrong_width(tmp_path, width):
     assert not path.exists()
 
 
+def test_writers_refuse_non_finite(tmp_path):
+    # read_cloud and read_annotated reject such rows, so no writer may make one
+    pts = unit_sphere_cloud(16, seed=42)
+    pts[5, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        write_cloud(tmp_path / "cloud.xyz", pts)
+    ann = corrupt_cloud(unit_sphere_cloud(32, seed=42), (0.0, -2.0, 0.0),
+                        tier_params("light"), k=8, seed=1)
+    ann.sigma[9] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        write_annotated(tmp_path / "sample.xyzn", ann)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_annotated_roundtrip(tmp_path):
     pts = unit_sphere_cloud(128, seed=41)
     ann = corrupt_cloud(pts, (0.0, -2.0, 0.0), tier_params("heavy"), k=16, seed=3)
@@ -286,7 +301,7 @@ def test_tier_config_rejects_unknown_key(tmp_path):
 
 
 @pytest.mark.parametrize("text", ["normal_k=2\n", "sensor_x=nan\n", "a=nan\n",
-                                  "k=inf\n", "p_out=-1\n"])
+                                  "k=inf\n", "p_out=-1\n", "sensor_y=-1e200\n"])
 def test_tier_config_invalid_value_is_parse_error(tmp_path, text):
     path = tmp_path / "tier.cfg"
     path.write_text(text)
@@ -376,6 +391,41 @@ def test_generate_benchmark_fail_fast(tmp_path):
         generate_benchmark(manifest, preset_config("light"), tmp_path / "out")
     assert info.value.sample_id == "broken"
     # a failed first run leaves nothing behind, not even a tier directory
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_generate_benchmark_fail_fast_names_lowest_id(tmp_path, threads):
+    # results are read in sample-id order, so the manifest's order and the
+    # thread count do not decide which failure is reported
+    manifest_path = tmp_path / "manifest.csv"
+    manifest_path.write_text("sample_id,label,path\n"
+                             "s0003,0,clouds/missing3.xyz\n"
+                             "s0001,0,clouds/missing1.xyz\n")
+    with pytest.raises(GenerationError) as info:
+        generate_benchmark(read_manifest(manifest_path), preset_config("light"),
+                           tmp_path / "out", threads=threads)
+    assert info.value.sample_id == "s0001"
+
+
+def test_generate_benchmark_interrupt_stops_run(tmp_path, monkeypatch):
+    # Ctrl-C in a sample cancels the samples not yet started: at one thread
+    # only the sample the worker took up next still runs
+    manifest = read_manifest(write_benchmark_manifest(tmp_path, 6, 48, seed=68))
+    real, calls = pipeline._corrupt_one, itertools.count()
+
+    def interrupt_second(*args):
+        i = next(calls)
+        if i == 1:
+            raise KeyboardInterrupt
+        if i > 1:
+            time.sleep(0.2)  # time for the interrupt to reach the pool first
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "_corrupt_one", interrupt_second)
+    with pytest.raises(KeyboardInterrupt):
+        generate_benchmark(manifest, preset_config("light"), tmp_path / "out", threads=1)
+    assert next(calls) <= 3
     assert list((tmp_path / "out").iterdir()) == []
 
 
