@@ -1,8 +1,7 @@
-"""Internal helpers for the text formats: line-numbered readers that raise
-ParseError at a file line, atomic writers and round-trip float formatting."""
+"""Internal helpers for the text formats: streaming line-numbered readers that
+raise ParseError at a file line, atomic writers and round-trip float formatting."""
 
 import csv
-import io
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -50,21 +49,23 @@ def write_csv(path, header, rows):
         csv.writer(fh).writerows([header, *rows])
 
 
-def _text(path):
-    """Decode the file `path` as UTF-8, read once; a byte that is not UTF-8 is
-    a ParseError at its path and line."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path,
-                         line=data.count(b"\n", 0, exc.start) + 1) from None
+def _lines(path):
+    """Yield (file line, line with its ending) of the UTF-8 file `path`, read
+    one line at a time; a line ends at "\n", "\r\n" or "\r". A line holding
+    a byte that is not UTF-8 is a ParseError at that line."""
+    # surrogateescape maps bad bytes to U+DC80..U+DCFF, which valid UTF-8
+    # never decodes to; strict decoding would fail at an 8 KiB chunk instead
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii() and any("\udc80" <= ch <= "\udcff" for ch in line):
+                raise ParseError("not UTF-8 text", path=path, line=lineno)
+            yield lineno, line
 
 
 def data_lines(path):
-    """Yield (file line, stripped line) of each non-blank, non-'#' line."""
-    # newline=None splits lines the way open() does: at "\n", "\r\n" or "\r"
-    for lineno, raw in enumerate(io.StringIO(_text(path), newline=None), start=1):
+    """Yield (file line, stripped line) of each non-blank, non-'#' line of
+    _lines(path), so a bad byte fails even in a comment or blank line."""
+    for lineno, raw in _lines(path):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line
@@ -113,22 +114,27 @@ def write_table(path, header, columns):
 
 
 def csv_rows(path, what, header_ok):
-    """Yield (file line, row) for each non-empty data row of a CSV file.
+    """Yield (file line, row) for each non-empty data row of CSV _lines(path).
 
     ParseError at line 1 when the header is missing or header_ok(header)
     is false, and at a row's line when its column count differs from the
-    header's. That line is where the record starts, even after a quoted
-    field spanning lines.
+    header's or csv rejects it (say, a field over csv's size limit). That
+    line is where the record starts, even after a quoted field spanning
+    lines; a bad byte is reported at its own line.
     """
-    reader = csv.reader(io.StringIO(_text(path), newline=""))
-    header = next(reader, None)
-    if header is None or not header_ok(header):
-        raise ParseError(f"bad {what} header {header!r}", path=path, line=1)
-    start = reader.line_num + 1
-    for row in reader:
-        if row:
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} columns, got {len(row)}",
-                                 path=path, line=start)
-            yield start, row
+    reader = csv.reader(line for _, line in _lines(path))
+    start = 1
+    try:
+        header = next(reader, None)
+        if header is None or not header_ok(header):
+            raise ParseError(f"bad {what} header {header!r}", path=path, line=1)
         start = reader.line_num + 1
+        for row in reader:
+            if row:
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} columns, got {len(row)}",
+                                     path=path, line=start)
+                yield start, row
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV ({exc})", path=path, line=start) from None

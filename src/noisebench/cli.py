@@ -205,10 +205,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except NoiseBenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (NoiseBenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

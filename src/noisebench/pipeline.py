@@ -243,9 +243,13 @@ def _corrupt_one(entry, config, scale, tier_dir, base_dir):
         cloud = cloud * float(scale)
     ann = corrupt_cloud(cloud, config.sensor, config.params, k=config.normal_k,
                         seed=sample_seed(config.global_seed, entry.sample_id))
+    # finite sigmas can still sum past the float range; the warning is moot
+    with np.errstate(over="ignore"):
+        means = (ann.mean_sigma(), ann.mean_mu())
+    if not np.isfinite(means).all():
+        raise ValueError("sample mean sigma or mu is not finite")
     write_annotated(tier_dir / f"{entry.sample_id}.xyzn", ann)
-    return (entry.sample_id, entry.label, ann.mean_sigma(), ann.mean_mu(),
-            ann.outlier_count())
+    return (entry.sample_id, entry.label, *means, ann.outlier_count())
 
 
 def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False,
@@ -258,8 +262,8 @@ def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False
     are read in sample-id order: by default the first failing sample in
     that order raises GenerationError, at any thread count; with keep_going
     the remaining samples still run and failures are collected in the
-    summary. A non-finite noise result fails its sample. An error or an
-    interrupt cancels the samples not yet started.
+    summary. A non-finite noise result or sample mean fails its sample. An
+    error or an interrupt cancels the samples not yet started.
     The tree is built in a hidden out_dir/.<tier>.* directory and replaces
     out_dir/<tier> only when the run finishes, so a failed or interrupted
     run leaves an earlier tree as it was. A killed run may leave that

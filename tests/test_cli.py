@@ -2,12 +2,17 @@
 
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import tree_digest, unit_sphere_cloud, write_benchmark_manifest
+import noisebench
 from noisebench import read_annotated, read_sigma_summary, write_cloud
 from noisebench.cli import main
 
@@ -155,6 +160,30 @@ def test_corrupt_huge_scale_names_the_limit(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_corrupt_overflowing_sample_mean_fails(tmp_path):
+    # every sigma near 1e307 is finite but their sum is not; run as a
+    # subprocess, since pytest turns numpy's overflow warning into an error
+    manifest = write_benchmark_manifest(tmp_path, 3, 48, seed=92)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("a=1e307\n")
+    src = str(Path(noisebench.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    runs = {}
+    for out, flags in (("out", []), ("kept", ["--keep-going"])):
+        runs[out] = subprocess.run(
+            [sys.executable, "-m", "noisebench.cli", "corrupt", str(manifest), str(cfg),
+             str(tmp_path / out), *flags],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert runs[out].returncode == 1
+        assert "inf" not in runs[out].stdout + runs[out].stderr
+        assert "Warning" not in runs[out].stderr
+    assert list((tmp_path / "out").iterdir()) == []
+    assert "failures=3" in runs["kept"].stdout
+    assert [p.name for p in (tmp_path / "kept" / "custom").iterdir()] == ["summary.csv"]
+    assert "inf" not in (tmp_path / "kept" / "custom" / "summary.csv").read_text()
+
+
 def test_corrupt_unsafe_sample_id_writes_nothing(tmp_path, capsys):
     manifest = write_benchmark_manifest(tmp_path, 1, 48, seed=89)
     with open(manifest, "a", encoding="utf-8") as fh:
@@ -257,6 +286,25 @@ def test_non_utf8_input_exit_1(tmp_path, capsys, bad):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert f"{path}:{line}:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["manifest", "predictions"])
+def test_oversized_csv_field_exit_1(tmp_path, capsys, bad):
+    # past csv's 131,072-character field limit a record is a malformed line
+    sid = "s" * 200_000
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"sample_id,label,path\n{sid},0,clouds/{sid}.xyz\n")
+    preds = tmp_path / "preds.csv"
+    write_predictions(preds, [(sid, 0, [0.6, 0.3, 0.1])])
+    summary = tmp_path / "summary.csv"
+    summary.write_text("sample_id,label,mean_sigma,mean_mu,outlier_count\n"
+                       "s0000,0,0.01,0.0,0\n")
+    args = (["evaluate", str(preds), str(summary)] if bad == "predictions" else
+            ["corrupt", str(manifest), "light", str(tmp_path / "out")])
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"{manifest if bad == 'manifest' else preds}:2:" in err
     assert "Traceback" not in err
 
 

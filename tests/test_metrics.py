@@ -392,6 +392,12 @@ def test_read_predictions_errors(tmp_path):
         read_predictions(multiline)
     assert info.value.line == 5
 
+    # a bad byte inside a quoted field is reported at its own physical line
+    multiline.write_bytes(b'sample_id,true_label,p_0,p_1\n"two\nl\xffines",0,0.5,0.5\n')
+    with pytest.raises(ParseError, match="UTF-8") as info:
+        read_predictions(multiline)
+    assert info.value.line == 3
+
     for bad in ("nan", "inf", "-inf"):
         non_finite = tmp_path / "n.csv"
         non_finite.write_text("sample_id,true_label,p_0,p_1\n"

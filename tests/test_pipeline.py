@@ -8,6 +8,7 @@ import os
 import struct
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from noisebench import (DEFAULT_NORMAL_K, AnnotatedCloud, EmptyCloud,
                         GenerationError, NoiseParams, ParseError, TIER_NAMES,
                         TierConfig, UnknownTier, corrupt_cloud, generate_benchmark,
                         preset_config, read_annotated, read_cloud, read_manifest,
-                        read_tier_config, sample_seed, tier_params,
+                        read_predictions, read_tier_config, sample_seed, tier_params,
                         write_annotated, write_cloud)
 from noisebench import pipeline
 
@@ -99,11 +100,42 @@ def test_read_cloud_errors(tmp_path):
     with pytest.raises(EmptyCloud):
         read_cloud(empty)
 
+    # a bad byte fails at its line, even in a comment, and lines end at
+    # "\n", "\r\n" or "\r" as for every other error; the first bad line in
+    # file order is the one reported
     latin1 = tmp_path / "latin1.xyz"
-    latin1.write_bytes(b"1 2 3\n# caf\xe9\n4 5 6\n")
-    with pytest.raises(ParseError) as info:
-        read_cloud(latin1)
-    assert (info.value.path, info.value.line) == (latin1, 2)
+    for nl in (b"\n", b"\r\n", b"\r"):
+        for lines, line, what in (([b"1 2 3", b"", b"# caf\xe9", b"4 5 6"], 3, "UTF-8"),
+                                  ([b"1 2 3", b"x y z", b"# caf\xe9"], 2, "float")):
+            latin1.write_bytes(nl.join(lines) + nl)
+            with pytest.raises(ParseError, match=what) as info:
+                read_cloud(latin1)
+            assert (info.value.path, info.value.line) == (latin1, line)
+
+
+@pytest.mark.parametrize("kind", ["cloud", "predictions"])
+def test_readers_stream_their_input(tmp_path, kind):
+    # a reader holds the parsed values, not copies of the file's text; sizes
+    # are the benchmark's scan cloud and ModelNet40's 2,468-row test split
+    path = tmp_path / kind
+    if kind == "cloud":
+        write_cloud(path, unit_sphere_cloud(8192, seed=7))
+        reader = read_cloud
+    else:
+        probs = np.random.default_rng(7).dirichlet(np.ones(40), size=2468)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["sample_id", "true_label"] + [f"p_{i}" for i in range(40)])
+            writer.writerows([f"s{i:04d}", i % 40, *map(repr, row)]
+                             for i, row in enumerate(probs.tolist()))
+        reader = read_predictions
+    tracemalloc.start()
+    try:
+        reader(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * path.stat().st_size
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
