@@ -135,7 +135,10 @@ def _grid_pass(xyz, sq, k, rows, out, lo, extent, h, slack):
     cell = np.minimum(np.floor(t).astype(np.int64), ncell - 1)
     key = (cell[:, 0] * ncell[1] + cell[:, 1]) * ncell[2] + cell[:, 2]
     order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
+    # order[start[c]:start[c + 1]] are cell c's points. h is at least each of
+    # the 1-, 2- and 3-d hull cell sizes, so there are at most about 8 n / k
+    # cells and the table stays O(n) (doubling h on a retry only shrinks it)
+    start = np.searchsorted(key[order], np.arange(np.prod(ncell) + 1))
     rows = rows[np.argsort(key[rows], kind="stable")]
 
     # squared distance from each point to the outside of its block, less
@@ -144,33 +147,30 @@ def _grid_pass(xyz, sq, k, rows, out, lo, extent, h, slack):
     above = np.where(cell + 1 < ncell - 1, (cell + 2) - t, np.inf)
     bound = (np.minimum(below, above).min(axis=1) * h) ** 2 - slack
 
-    col = np.empty(len(sq), dtype=np.intp)  # point -> column in `cand`
     group_start = np.flatnonzero(np.diff(key[rows], prepend=-1))
     rejected = []
     for g0, g1 in zip(group_start, np.append(group_start[1:], len(rows))):
-        cx, cy, cz = cell[rows[g0]]
-        z0, z1 = max(cz - 1, 0), min(cz + 1, ncell[2] - 1)
-        spans = []
-        for x in range(max(cx - 1, 0), min(cx + 2, ncell[0])):
-            for y in range(max(cy - 1, 0), min(cy + 2, ncell[1])):
-                base = (x * ncell[1] + y) * ncell[2]
-                spans.append(order[np.searchsorted(sorted_key, base + z0):
-                                   np.searchsorted(sorted_key, base + z1, "right")])
-        cand = np.concatenate(spans)
+        # the 3x3x3 block on the grid is cells c0 to c1 - 1 per axis; each of
+        # its (x, y) columns is a run of consecutive cells, so its points are
+        # order[s0[c]:s1[c]] for the column's cell c at z = 0
+        c0, c1 = np.maximum(cell[rows[g0]] - 1, 0), np.minimum(cell[rows[g0]] + 2, ncell)
+        s0, s1 = start[c0[2]:], start[c1[2]:]
+        cols = [(x * ncell[1] + y) * ncell[2]
+                for x in range(c0[0], c1[0]) for y in range(c0[1], c1[1])]
+        cand = np.sort(np.concatenate([order[s0[c]:s1[c]] for c in cols]))
         if len(cand) <= k:
             rejected.append(rows[g0:g1])
             continue
-        col[cand] = np.arange(len(cand))
         step = max(1, _KNN_BLOCK // len(cand))
         for b0 in range(g0, g1, step):
             blk = rows[b0:min(b0 + step, g1)]
-            kth = _nearest_in(xyz, sq, k, blk, cand, col[blk], out)
+            kth = _nearest_in(xyz, sq, k, blk, cand, out)
             rejected.append(blk[kth >= bound[blk]])
     return np.concatenate(rejected) if rejected else rows[:0]
 
 
-def _nearest_in(xyz, sq, k, blk, cand, self_col, out):
-    """Write the k nearest of `cand` to each point of `blk`; return the k-th d^2."""
+def _nearest_in(xyz, sq, k, blk, cand, out):
+    """Write the k nearest of ascending `cand` to each of `blk`; return the k-th d^2."""
     # a.b as three products and two sums, the same for every pair wherever
     # it is computed; BLAS would round it differently per call shape
     (xb, yb, zb), (xc, yc, zc) = xyz[:, blk], xyz[:, cand]
@@ -182,14 +182,16 @@ def _nearest_in(xyz, sq, k, blk, cand, self_col, out):
     d2 -= dot
     np.maximum(d2, 0.0, out=d2)  # clip rounding negatives
     m, width = d2.shape
-    d2[np.arange(m), self_col] = np.inf
+    d2[np.arange(m), np.searchsorted(cand, blk)] = np.inf
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-    # every candidate up to the k-th value, ordered by (row, d^2, index)
+    # every candidate up to the k-th value, ordered by (row, d^2, column):
+    # flat is row-major and lexsort is stable, so equal d^2 keep column
+    # order, which is index order because `cand` is ascending
     flat = np.flatnonzero(d2 <= kth[:, None])
-    r, idx = flat // width, cand[flat % width]
+    r = flat // width
     first = np.searchsorted(r, np.arange(m))
-    pick = np.lexsort((idx, d2.ravel()[flat], r))[first[:, None] + np.arange(k)]
-    out[blk] = idx[pick]
+    pick = np.lexsort((d2.ravel()[flat], r))[first[:, None] + np.arange(k)]
+    out[blk] = cand[flat[pick] % width]
     return kth
 
 

@@ -58,9 +58,18 @@ def tier_params(name):
         raise UnknownTier(name, TIER_NAMES) from None
 
 
+def _is_plain_name(name):
+    """True for a plain file name: not empty, '.' or '..', no '/' or '\\'."""
+    return name not in ("", ".", "..") and "/" not in name and "\\" not in name
+
+
 @dataclass
 class TierConfig:
-    """Everything needed to corrupt a dataset at one noise tier."""
+    """Everything needed to corrupt a dataset at one noise tier.
+
+    `name` names the tier's output directory, so it must be a plain file
+    name, like a sample id (ValueError otherwise).
+    """
 
     name: str
     params: NoiseParams
@@ -69,6 +78,8 @@ class TierConfig:
     global_seed: int = 0
 
     def __post_init__(self):
+        if not _is_plain_name(self.name):
+            raise ValueError(f"tier name {self.name!r} is not a plain file name")
         self.sensor = tuple(_as_vec3(self.sensor, "sensor").tolist())
         if self.normal_k < 3:
             raise ValueError(f"normal_k must be >= 3, got {self.normal_k}")
@@ -163,7 +174,7 @@ def read_manifest(path):
     seen = set()
     for lineno, (sid, label_s, rel) in csv_rows(
             path, "manifest", lambda header: header == ["sample_id", "label", "path"]):
-        if sid in ("", ".", "..") or "/" in sid or "\\" in sid:
+        if not _is_plain_name(sid):
             raise ParseError(f"sample_id {sid!r} is not a plain file name",
                              path=path, line=lineno)
         if sid in seen:
@@ -303,7 +314,12 @@ def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False
             (out_dir / config.name).rename(Path(work) / "old")
         tier_dir.rename(out_dir / config.name)
 
-    mean_sigma = float(np.mean([r[2] for r in rows])) if rows else 0.0
+    m = np.array([r[2] for r in rows])
+    # the sum of finite means can overflow; scaling by a power of two above
+    # n is exact for normal floats, and means of at most 1 are not scaled,
+    # so a subnormal one keeps its bits
+    e = len(m).bit_length() if m.max(initial=0.0) > 1.0 else 0
+    mean_sigma = float(np.mean(np.ldexp(m, -e)) * 2.0**e) if rows else 0.0
     return GenerationSummary(tier=config.name, out_dir=out_dir,
                              sample_count=len(rows), failures=failures,
                              mean_sigma=mean_sigma)

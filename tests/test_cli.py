@@ -160,21 +160,23 @@ def test_corrupt_huge_scale_names_the_limit(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
-def test_corrupt_overflowing_sample_mean_fails(tmp_path):
-    # every sigma near 1e307 is finite but their sum is not; run as a
-    # subprocess, since pytest turns numpy's overflow warning into an error
-    manifest = write_benchmark_manifest(tmp_path, 3, 48, seed=92)
-    cfg = tmp_path / "huge.cfg"
-    cfg.write_text("a=1e307\n")
+def _run_cli(*args):
+    """Run the CLI in a subprocess, where pytest cannot turn a warning into an error."""
     src = str(Path(noisebench.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "noisebench.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_corrupt_overflowing_sample_mean_fails(tmp_path):
+    # every sigma near 1e307 is finite but their sum is not
+    manifest = write_benchmark_manifest(tmp_path, 3, 48, seed=92)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("a=1e307\n")
     runs = {}
     for out, flags in (("out", []), ("kept", ["--keep-going"])):
-        runs[out] = subprocess.run(
-            [sys.executable, "-m", "noisebench.cli", "corrupt", str(manifest), str(cfg),
-             str(tmp_path / out), *flags],
-            capture_output=True, text=True, env=env, timeout=120)
+        runs[out] = _run_cli("corrupt", manifest, cfg, tmp_path / out, *flags)
         assert runs[out].returncode == 1
         assert "inf" not in runs[out].stdout + runs[out].stderr
         assert "Warning" not in runs[out].stderr
@@ -182,6 +184,17 @@ def test_corrupt_overflowing_sample_mean_fails(tmp_path):
     assert "failures=3" in runs["kept"].stdout
     assert [p.name for p in (tmp_path / "kept" / "custom").iterdir()] == ["summary.csv"]
     assert "inf" not in (tmp_path / "kept" / "custom" / "summary.csv").read_text()
+
+
+def test_corrupt_run_mean_of_huge_sample_means_is_finite(tmp_path):
+    # each sample mean is 9e306, but 20 of them sum past the float range
+    manifest = write_benchmark_manifest(tmp_path, 20, 17, seed=93)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("a=9e306\n")
+    run = _run_cli("corrupt", manifest, cfg, tmp_path / "out")
+    assert run.returncode == 0
+    assert "mean_sigma=9e+306" in run.stdout
+    assert run.stderr == ""
 
 
 def test_corrupt_unsafe_sample_id_writes_nothing(tmp_path, capsys):

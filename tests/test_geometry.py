@@ -181,7 +181,11 @@ def test_knn_matches_brute_force_large_clouds():
     # is as large as the neighbour distances themselves; the block test
     # must allow for it or rows with a closer point outside pass
     far = rng.uniform(0.0, 1.0, (1500, 3)) + 1e7 * rng.uniform(0.5, 1.0, 3)
-    for pts in (unit_sphere_cloud(3000, seed=11) + 1e3, cluster, tilted, far):
+    # a jittered line: the 1-d hull sizes the cells, so the first pass's
+    # cell table is the largest any cloud makes (about n / k cells on x)
+    line = np.column_stack([rng.uniform(0.0, 100.0, 4000),
+                            rng.normal(0.0, 1e-3, (4000, 2))])
+    for pts in (unit_sphere_cloud(3000, seed=11) + 1e3, cluster, tilted, far, line):
         assert_array_equal(_knn_indices(pts, 16), _brute_force_knn(pts, 16))
 
 

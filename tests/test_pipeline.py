@@ -49,6 +49,17 @@ def test_tier_config_none_must_be_zero():
         TierConfig(name="none", params=tier_params("light"))
 
 
+def test_tier_name_must_be_plain_file_name(tmp_path):
+    manifest = read_manifest(write_benchmark_manifest(tmp_path / "in", 2, 24, seed=94))
+    out = tmp_path / "in" / "out"
+    for name in ("", ".", "..", "./../escaped", "a/b", "a\\b"):
+        with pytest.raises(ValueError, match="plain file name"):
+            generate_benchmark(manifest, TierConfig(name=name, params=tier_params("light")),
+                               out)
+    assert not out.exists()
+    assert sorted(p.name for p in (tmp_path / "in").iterdir()) == ["clouds", "manifest.csv"]
+
+
 def test_sample_seed_matches_documented_construction():
     payload = struct.pack("<Q", 42) + "chair_0042".encode("utf-8")
     expected = int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
