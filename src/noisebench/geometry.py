@@ -11,9 +11,10 @@ import numpy as np
 
 from .errors import DegenerateRay, InsufficientPoints
 
-# distance entries (query rows x candidates) computed at once; bounds the
-# scratch memory of the kNN search at a few arrays of 8 MB each
-_KNN_BLOCK = 1 << 20
+# candidate table entries (cells x widest block) and distance entries
+# (query rows x widest block) the kNN search holds at once: its scratch is a
+# few arrays of 256 KB each, small enough to stay in cache
+_KNN_BLOCK = 1 << 15
 
 # rounding: relative error of one operation, absolute error on underflow
 _EPS = np.finfo(np.float64).eps
@@ -100,18 +101,21 @@ def _knn_indices(pts, k):
     block spans the bounding box the search is brute force, so the loop
     ends and the result is always exact. Cost is O(n k) time on evenly
     spread clouds and O(n^2) at worst (one dense cluster plus far
-    outliers); scratch memory is bounded by _KNN_BLOCK.
+    outliers). Candidates are per-chunk tables, a row per query cell padded
+    with a sentinel at d^2 = +inf; scratch beyond O(n) is a few _KNN_BLOCK-entry arrays.
     """
     n = len(pts)
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k} for n={n}")
-    xyz = np.ascontiguousarray(pts.T)
-    sq = xyz[0] * xyz[0] + xyz[1] * xyz[1] + xyz[2] * xyz[2]
+    # x, y, z and |p|^2 per point, then the sentinel: at the origin with
+    # |p|^2 = +inf, so its d^2 to any point is +inf
+    x, y, z = pts.T
+    xyzs = np.append([x, y, z, x * x + y * y + z * z], [[0.0], [0.0], [0.0], [np.inf]], axis=1)
     lo = pts.min(axis=0)
     extent = pts.max(axis=0) - lo
     # error bound for a computed d^2 (under 20 eps max|p|^2) plus that of
     # the squared block distance (under 60 eps max|p|^2), with margin
-    slack = 128.0 * (_EPS * sq.max() + _TINY)
+    slack = 128.0 * (_EPS * xyzs[3, :n].max() + _TINY)
     # cell side that puts k points in a cell when they fill the bounding
     # box's 1-, 2- or 3-d hull; the largest of the three sizes flat and thin
     # clouds for their real extent. It only affects speed. Sides relative to
@@ -123,15 +127,21 @@ def _knn_indices(pts, k):
     out = np.empty((n, k), dtype=np.intp)
     todo = np.arange(n)
     while todo.size:
-        todo = _grid_pass(xyz, sq, k, todo, out, lo, extent, h, slack)
+        todo = _grid_pass(xyzs, k, todo, out, lo, extent, h, slack)
         h *= 2.0
     return out
 
 
-def _grid_pass(xyz, sq, k, rows, out, lo, extent, h, slack):
+def _spans(starts, counts):
+    """Concatenation of the index ranges [starts[i], starts[i] + counts[i])."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
+def _grid_pass(xyzs, k, rows, out, lo, extent, h, slack):
     """One grid search with cell side h for `rows`; returns the rejected rows."""
+    n = xyzs.shape[1] - 1
     ncell = np.floor(extent / h).astype(np.int64) + 1
-    t = (xyz.T - lo) / h                                 # cell units
+    t = (xyzs[:3, :n].T - lo) / h                        # cell units
     cell = np.minimum(np.floor(t).astype(np.int64), ncell - 1)
     key = (cell[:, 0] * ncell[1] + cell[:, 1]) * ncell[2] + cell[:, 2]
     order = np.argsort(key, kind="stable")
@@ -139,7 +149,6 @@ def _grid_pass(xyz, sq, k, rows, out, lo, extent, h, slack):
     # the 1-, 2- and 3-d hull cell sizes, so there are at most about 8 n / k
     # cells and the table stays O(n) (doubling h on a retry only shrinks it)
     start = np.searchsorted(key[order], np.arange(np.prod(ncell) + 1))
-    rows = rows[np.argsort(key[rows], kind="stable")]
 
     # squared distance from each point to the outside of its block, less
     # the slack; a side whose next cell is off the grid is infinitely far
@@ -147,51 +156,87 @@ def _grid_pass(xyz, sq, k, rows, out, lo, extent, h, slack):
     above = np.where(cell + 1 < ncell - 1, (cell + 2) - t, np.inf)
     bound = (np.minimum(below, above).min(axis=1) * h) ** 2 - slack
 
-    group_start = np.flatnonzero(np.diff(key[rows], prepend=-1))
-    rejected = []
-    for g0, g1 in zip(group_start, np.append(group_start[1:], len(rows))):
-        # the 3x3x3 block on the grid is cells c0 to c1 - 1 per axis; each of
-        # its (x, y) columns is a run of consecutive cells, so its points are
-        # order[s0[c]:s1[c]] for the column's cell c at z = 0
-        c0, c1 = np.maximum(cell[rows[g0]] - 1, 0), np.minimum(cell[rows[g0]] + 2, ncell)
-        s0, s1 = start[c0[2]:], start[c1[2]:]
-        cols = [(x * ncell[1] + y) * ncell[2]
-                for x in range(c0[0], c1[0]) for y in range(c0[1], c1[1])]
-        cand = np.sort(np.concatenate([order[s0[c]:s1[c]] for c in cols]))
-        if len(cand) <= k:
-            rejected.append(rows[g0:g1])
-            continue
-        step = max(1, _KNN_BLOCK // len(cand))
-        for b0 in range(g0, g1, step):
-            blk = rows[b0:min(b0 + step, g1)]
-            kth = _nearest_in(xyz, sq, k, blk, cand, out)
-            rejected.append(blk[kth >= bound[blk]])
-    return np.concatenate(rejected) if rejected else rows[:0]
+    # every occupied query cell's 3x3x3 block at once: each of its 9 (x, y)
+    # columns is a run of consecutive cells, so its points are order[s0:s0 +
+    # cnt] for the column's z range; an off-grid column is empty
+    rows = rows[np.argsort(key[rows], kind="stable")]
+    first = np.flatnonzero(np.diff(key[rows], prepend=-1))
+    c = cell[rows[first]]
+    x, y = c[:, :1] + np.arange(9) // 3 - 1, c[:, 1:2] + np.arange(9) % 3 - 1
+    on = (x >= 0) & (x < ncell[0]) & (y >= 0) & (y < ncell[1])
+    col = (x * ncell[1] + y) * ncell[2]
+    s0 = start[np.where(on, col + np.maximum(c[:, 2:] - 1, 0), 0)]
+    cnt = start[np.where(on, col + np.minimum(c[:, 2:] + 2, ncell[2]), 0)] - s0
+    # cells widest block first, rows grouped by cell in that order; cells
+    # whose block holds no more than k points besides their own come last
+    # and are rejected
+    by = np.argsort(-cnt.sum(axis=1), kind="stable")
+    s0, cnt, nrow = s0[by], cnt[by], np.diff(first, append=len(rows))[by]
+    width = cnt.sum(axis=1)
+    rows = rows[_spans(first[by], nrow)]
+    cum = np.concatenate(([0], np.cumsum(nrow)))
+    wide = np.count_nonzero(width > k)
+    rejected = [rows[cum[wide]:]]
+    # a chunk from cell i is the cells whose rows x widest block fit
+    # _KNN_BLOCK, up to cell fit[i], and at least cell i
+    fit = (np.searchsorted(cum, cum[:wide] + _KNN_BLOCK // width[:wide], "right") - 1).tolist()
+    i = 0
+    while i < wide:
+        w, j = width[i], min(max(i + 1, fit[i]), wide)
+        # each cell's candidates ascending by index: sorted (cell, index) keys
+        # spread into a table padded with the sentinel
+        base = np.repeat(np.arange(j - i) * (n + 1), width[i:j])
+        ckey = base + order[_spans(s0[i:j].ravel(), cnt[i:j].ravel())]
+        ckey.sort()
+        table = np.full((j - i, w), n)
+        table[np.arange(w) < width[i:j, None]] = ckey - base
+        blk = rows[cum[i]:cum[j]]
+        q = np.repeat(np.arange(j - i), nrow[i:j])       # each row's cell
+        # each row's own column: its key's place less its cell's first place
+        self_col = ckey.searchsorted(q * (n + 1) + blk) - ckey.searchsorted(q * (n + 1))
+        cand = xyzs[:, table]                            # (4, cells, w)
+        step = max(1, _KNN_BLOCK // w)                   # rows per block
+        for b0 in range(0, len(blk), step):
+            b = slice(b0, b0 + step)
+            kth = _nearest_in(xyzs, k, blk[b], cand, table, q[b], self_col[b], out)
+            rejected.append(blk[b][kth >= bound[blk[b]]])
+        i = j
+    return np.concatenate(rejected)
 
 
-def _nearest_in(xyz, sq, k, blk, cand, out):
-    """Write the k nearest of ascending `cand` to each of `blk`; return the k-th d^2."""
-    # a.b as three products and two sums, the same for every pair wherever
-    # it is computed; BLAS would round it differently per call shape
-    (xb, yb, zb), (xc, yc, zc) = xyz[:, blk], xyz[:, cand]
-    dot = np.multiply.outer(xb, xc)
-    dot += np.multiply.outer(yb, yc)
-    dot += np.multiply.outer(zb, zc)
-    d2 = np.add.outer(sq[blk], sq[cand])
+def _nearest_in(xyzs, k, blk, cand, table, q, self_col, out):
+    """Write the k nearest of candidates table[q] to each of `blk`; return the k-th d^2."""
+    # cand holds the table's x, y, z and |p|^2. a.b is three products and
+    # two sums, the same for every pair wherever it is computed; BLAS would
+    # round it differently per call shape
+    xb, yb, zb, sqb = xyzs[:, blk, None]
+    if len(table) > 1:  # rows gather their cells' rows; the products overwrite them
+        xc, yc, zc, sqc = buf = cand.take(q, axis=1)
+    else:  # a one-cell table (a dense cell) is broadcast instead
+        (xc, yc, zc, sqc), buf = cand, (None,) * 4
+    dot = np.multiply(xc, xb, out=buf[0])
+    dot += np.multiply(yc, yb, out=buf[1])
+    dot += np.multiply(zc, zb, out=buf[2])
+    d2 = np.add(sqc, sqb, out=buf[3])
     dot *= 2.0
     d2 -= dot
     np.maximum(d2, 0.0, out=d2)  # clip rounding negatives
     m, width = d2.shape
-    d2[np.arange(m), np.searchsorted(cand, blk)] = np.inf
+    d2[np.arange(m), self_col] = np.inf
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-    # every candidate up to the k-th value, ordered by (row, d^2, column):
-    # flat is row-major and lexsort is stable, so equal d^2 keep column
-    # order, which is index order because `cand` is ascending
+    # every candidate up to the k-th value, ordered by d^2 within its row:
+    # flat is row-major and each row's values, padded with +inf, are sorted
+    # stably, so equal d^2 keep column order, which is index order because
+    # table rows are ascending. A row has at least k finite entries, so the
+    # +inf padding never reaches its first k
     flat = np.flatnonzero(d2 <= kth[:, None])
     r = flat // width
-    first = np.searchsorted(r, np.arange(m))
-    pick = np.lexsort((d2.ravel()[flat], r))[first[:, None] + np.arange(k)]
-    out[blk] = cand[flat[pick] % width]
+    first = r.searchsorted(np.arange(m))
+    pos = np.arange(len(flat)) - first[r]
+    vals = np.full((m, pos.max() + 1), np.inf)
+    vals[r, pos] = d2.ravel()[flat]
+    pick = first[:, None] + vals.argsort(axis=1, kind="stable")[:, :k]
+    out[blk] = table[q[:, None], flat[pick] % width]
     return kth
 
 

@@ -34,7 +34,7 @@ from ._fileio import (SUMMARY_HEADER, csv_rows, data_lines, fmt, read_table,
                       write_csv, write_table)
 from .errors import GenerationError, ParseError, UnknownTier
 from .geometry import _as_cloud, _as_vec3
-from .noise import _SEED_MASK, NoiseParams, corrupt_cloud
+from .noise import NoiseParams, corrupt_cloud
 
 DEFAULT_SENSOR = (0.0, -2.0, 0.0)
 DEFAULT_NORMAL_K = 16
@@ -68,7 +68,8 @@ class TierConfig:
     """Everything needed to corrupt a dataset at one noise tier.
 
     `name` names the tier's output directory, so it must be a plain file
-    name, like a sample id (ValueError otherwise).
+    name, like a sample id (ValueError otherwise). `global_seed` must be in
+    [0, 2^64), the seeds sample_seed takes (ValueError otherwise).
     """
 
     name: str
@@ -81,6 +82,7 @@ class TierConfig:
         if not _is_plain_name(self.name):
             raise ValueError(f"tier name {self.name!r} is not a plain file name")
         self.sensor = tuple(_as_vec3(self.sensor, "sensor").tolist())
+        _check_seed(self.global_seed)
         if self.normal_k < 3:
             raise ValueError(f"normal_k must be >= 3, got {self.normal_k}")
         zero = NoiseParams(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -93,14 +95,22 @@ def preset_config(name, global_seed=0):
     return TierConfig(name=name, params=tier_params(name), global_seed=global_seed)
 
 
+def _check_seed(global_seed):
+    """ValueError unless global_seed is in [0, 2^64): no two seeds alias."""
+    if not 0 <= global_seed < 1 << 64:
+        raise ValueError(f"global seed must be in [0, 2**64), got {global_seed}")
+
+
 def sample_seed(global_seed, sample_id):
     """Derive the per-sample 64-bit seed.
 
-    Construction: SHA-256 over the global seed as 8 little-endian bytes
-    followed by the UTF-8 bytes of the sample id; the first 8 digest bytes,
-    read little-endian, are the seed. Platform- and run-independent.
+    Construction: SHA-256 over the global seed, in [0, 2^64) (ValueError
+    otherwise), as 8 little-endian bytes followed by the UTF-8 bytes of the
+    sample id; the first 8 digest bytes, read little-endian, are the seed.
+    Platform- and run-independent.
     """
-    payload = struct.pack("<Q", int(global_seed) & _SEED_MASK)
+    _check_seed(global_seed)
+    payload = struct.pack("<Q", int(global_seed))
     payload += str(sample_id).encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "little")

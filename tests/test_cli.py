@@ -92,6 +92,16 @@ def test_corrupt_with_tier_config_file(tmp_path):
     assert cols.outlier.all()
 
 
+def test_corrupt_config_file_seed_out_of_range_exit_1(tmp_path, capsys):
+    manifest = write_benchmark_manifest(tmp_path, 1, 48, seed=82)
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("a=0.01\nglobal_seed=-5\n")
+    out = tmp_path / "out"
+    assert main(["corrupt", str(manifest), str(cfg), str(out)]) == 1
+    assert "global seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_corrupt_unknown_tier_exit_2(tmp_path, capsys):
     manifest = write_benchmark_manifest(tmp_path, 1, 48, seed=83)
     assert main(["corrupt", str(manifest), "nope", str(tmp_path / "out")]) == 2
@@ -135,6 +145,8 @@ def test_corrupt_sensor_and_scale_flags(tmp_path):
     ["--sensor", "0,-1e200,0"],
     ["--threads", "0"],
     ["--threads", "-1"],
+    ["--seed", str(2**64)],  # would alias seed 0 if masked to 64 bits
+    ["--seed", "-1"],        # would alias seed 2**64 - 1
 ])
 def test_corrupt_invalid_override_is_usage_error(tmp_path, capsys, flags):
     manifest = write_benchmark_manifest(tmp_path, 1, 48, seed=88)

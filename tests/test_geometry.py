@@ -2,7 +2,11 @@
 
 import hashlib
 import math
+import sys
+import threading
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from conftest import unit_sphere_cloud
 from noisebench import (DegenerateRay, InsufficientPoints, estimate_normals,
                         incidence_cosine, perturb_points, range_to_sensor)
+from noisebench import geometry
 from noisebench.geometry import _knn_indices
 
 
@@ -140,7 +145,7 @@ def knn_cases(draw):
     k = draw(st.integers(1, 16))
     n = draw(st.one_of(st.just(k + 1), st.integers(k + 1, 150)))
     kind = draw(st.sampled_from(["floats", "coincident", "duplicates", "grid",
-                                 "collinear", "outliers", "offset"]))
+                                 "collinear", "outliers", "clusters", "offset"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "floats":
         pts = draw(arrays(np.float64, (n, 3),
@@ -158,6 +163,14 @@ def knn_cases(draw):
         pts = rng.normal(0.0, 1e-2, (n, 3))
         far = rng.random(n) < 0.1
         pts[far] = rng.uniform(-1e3, 1e3, (far.sum(), 3))
+    elif kind == "clusters":  # cells of very different widths, plus retries
+        m = rng.integers(2, 5)
+        which = rng.integers(0, m, n)
+        spread = 10.0 ** rng.uniform(-4.0, -1.0, m)
+        pts = (rng.uniform(-10.0, 10.0, (m, 3))[which]
+               + rng.normal(0.0, 1.0, (n, 3)) * spread[which, None])
+        far = rng.random(n) < 0.05
+        pts[far] = rng.uniform(-1e3, 1e3, (far.sum(), 3))
     else:  # rounding error of the expansion is ~eps * 1e6 here
         pts = rng.uniform(0.0, 1.0, (n, 3)) + rng.uniform(-1e3, 1e3, 3)
     return pts, k
@@ -168,6 +181,67 @@ def knn_cases(draw):
 def test_knn_matches_brute_force(case):
     pts, k = case
     assert_array_equal(_knn_indices(pts, k), _brute_force_knn(pts, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(knn_cases(), st.sampled_from([1, 7, 64, 1024, geometry._KNN_BLOCK]))
+def test_knn_matches_brute_force_any_block_size(case, block):
+    # small blocks split chunks into single cells and cells into one-row
+    # blocks; the result must not depend on where those splits fall
+    pts, k = case
+    with mock.patch.object(geometry, "_KNN_BLOCK", block):
+        assert_array_equal(_knn_indices(pts, k), _brute_force_knn(pts, k))
+
+
+def _grid_plane(nx, nz):
+    """An nx x nz grid in the y = 0 plane: many exactly tied distances."""
+    i, j = np.meshgrid(np.arange(nx), np.arange(nz), indexing="ij")
+    return np.column_stack([i.ravel(), np.zeros(i.size), j.ravel()]) * 2.0 ** -6
+
+
+def test_knn_scratch_memory_bounded():
+    # scratch is a few arrays of _KNN_BLOCK entries per chunk, not one per
+    # candidate block: a dense cluster's block is almost the whole cloud
+    rng = np.random.default_rng(14)
+    cluster = np.vstack([rng.normal(0.0, 1e-3, (4088, 3)),
+                         rng.normal(0.0, 10.0, (8, 3))])
+    for pts in (cluster, unit_sphere_cloud(8192, seed=15)):
+        tracemalloc.start()
+        try:
+            _knn_indices(pts, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+
+def test_knn_threads_match_serial():
+    # two searches at once, switching often, must not share scratch state
+    clouds = (unit_sphere_cloud(1024, seed=16), _grid_plane(128, 64))
+    serial = [_knn_indices(pts, 16) for pts in clouds]
+    results = [[], []]
+    start = threading.Barrier(2, timeout=60)
+
+    def run(slot):
+        start.wait()
+        for _ in range(20):
+            results[slot].extend(_knn_indices(pts, 16) for pts in clouds)
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert len(got) == 2 * 20
+        for i, nbrs in enumerate(got):
+            assert_array_equal(nbrs, serial[i % 2])
 
 
 def test_knn_matches_brute_force_large_clouds():
@@ -199,8 +273,7 @@ def test_knn_rejects_k_out_of_range():
 def _golden_knn_clouds():
     """A sphere, an exact-tie grid plane and a thin far-offset cloud with duplicates."""
     sphere = unit_sphere_cloud(2048, seed=31)
-    i, j = np.meshgrid(np.arange(64), np.arange(32), indexing="ij")
-    plane = np.column_stack([i.ravel(), np.zeros(i.size), j.ravel()]) * 2.0 ** -6
+    plane = _grid_plane(64, 32)
     rng = np.random.default_rng(32)
     flat = rng.uniform(0.0, 1.0, (1000, 3)) * [1.0, 1e-3, 1.0] + [1e3, -2e3, 5e2]
     flat = np.vstack([flat, flat[::40]])

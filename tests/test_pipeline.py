@@ -75,6 +75,15 @@ def test_sample_seed_distinctness():
     assert all(0 <= sample_seed(0, sid) < 2**64 for sid in ("a", "b", "0"))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_global_seed_out_of_range_rejected(seed):
+    # masking to 64 bits would alias these with 2**64 - 1 and 0
+    with pytest.raises(ValueError, match="global seed"):
+        sample_seed(seed, "s0")
+    with pytest.raises(ValueError, match="global seed"):
+        preset_config("light", global_seed=seed)
+
+
 def test_cloud_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(40)
     pts = np.vstack([
