@@ -70,7 +70,8 @@ def build_parser():
     p.add_argument("--scale", type=_parse_scale, default=None,
                    help="uniform coordinate scale applied before corruption")
     p.add_argument("--threads", type=_parse_count, default=None,
-                   help="worker cap (default: available parallelism)")
+                   help="worker process cap; samples are read, corrupted and "
+                        "written in parallel (default: usable CPUs, at most 32)")
     p.add_argument("--keep-going", action="store_true",
                    help="continue past failing samples and report them")
 

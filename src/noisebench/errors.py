@@ -1,8 +1,18 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class NoiseBenchError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Pickling rebuilds an error from its message and attributes without
+    calling __init__, so every subclass crosses a process boundary with the
+    same type, str and attributes.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class InsufficientPoints(NoiseBenchError):

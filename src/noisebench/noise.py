@@ -30,7 +30,11 @@ from .geometry import (estimate_normals, incidence_cosine, range_to_sensor, _as_
 _STREAM_PERTURB = 1
 _STREAM_OUTLIER = 2
 
-_SEED_MASK = (1 << 64) - 1
+
+def _check_seed(seed, what="seed"):
+    """ValueError unless seed is in [0, 2^64): no two seeds alias."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"{what} must be in [0, 2**64), got {seed}")
 
 
 @dataclass(frozen=True)
@@ -176,7 +180,7 @@ def _substream(seed, purpose):
     a stream always belongs to point i regardless of how the surrounding
     work is scheduled.
     """
-    key = (int(purpose) << 64) | (int(seed) & _SEED_MASK)
+    key = (int(purpose) << 64) | int(seed)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -197,9 +201,10 @@ def corrupt_cloud(points, sensor, params, k=16, seed=0):
         otherwise); no point may sit on it (DegenerateRay otherwise).
     :param params: NoiseParams tier bundle.
     :param k: normal-estimation neighborhood size.
-    :param seed: 64-bit sample seed.
+    :param seed: sample seed in [0, 2^64) (ValueError otherwise).
     :returns: AnnotatedCloud.
     """
+    _check_seed(seed)
     pts = _as_cloud(points)
     normals = estimate_normals(pts, k, sensor)
     r = range_to_sensor(pts, sensor)
@@ -220,5 +225,5 @@ def corrupt_cloud(points, sensor, params, k=16, seed=0):
         cos_theta=cos_t,
         outlier=mask,
         degenerate_normal=normals.degenerate,
-        seed=int(seed) & _SEED_MASK,
+        seed=int(seed),
     )

@@ -23,7 +23,6 @@ import hashlib
 import os
 import struct
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -34,7 +33,7 @@ from ._fileio import (SUMMARY_HEADER, csv_rows, data_lines, fmt, read_table,
                       write_csv, write_table)
 from .errors import GenerationError, ParseError, UnknownTier
 from .geometry import _as_cloud, _as_vec3
-from .noise import NoiseParams, corrupt_cloud
+from .noise import NoiseParams, _check_seed, corrupt_cloud
 
 DEFAULT_SENSOR = (0.0, -2.0, 0.0)
 DEFAULT_NORMAL_K = 16
@@ -82,7 +81,7 @@ class TierConfig:
         if not _is_plain_name(self.name):
             raise ValueError(f"tier name {self.name!r} is not a plain file name")
         self.sensor = tuple(_as_vec3(self.sensor, "sensor").tolist())
-        _check_seed(self.global_seed)
+        _check_seed(self.global_seed, "global seed")
         if self.normal_k < 3:
             raise ValueError(f"normal_k must be >= 3, got {self.normal_k}")
         zero = NoiseParams(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -95,12 +94,6 @@ def preset_config(name, global_seed=0):
     return TierConfig(name=name, params=tier_params(name), global_seed=global_seed)
 
 
-def _check_seed(global_seed):
-    """ValueError unless global_seed is in [0, 2^64): no two seeds alias."""
-    if not 0 <= global_seed < 1 << 64:
-        raise ValueError(f"global seed must be in [0, 2**64), got {global_seed}")
-
-
 def sample_seed(global_seed, sample_id):
     """Derive the per-sample 64-bit seed.
 
@@ -109,7 +102,7 @@ def sample_seed(global_seed, sample_id):
     sample id; the first 8 digest bytes, read little-endian, are the seed.
     Platform- and run-independent.
     """
-    _check_seed(global_seed)
+    _check_seed(global_seed, "global seed")
     payload = struct.pack("<Q", int(global_seed))
     payload += str(sample_id).encode("utf-8")
     digest = hashlib.sha256(payload).digest()
@@ -273,34 +266,61 @@ def _corrupt_one(entry, config, scale, tier_dir, base_dir):
     return (entry.sample_id, entry.label, *means, ann.outlier_count())
 
 
+def _init_worker():
+    """Set up a pool worker: Ctrl-C is for the parent alone to handle, and
+    the worker exits when the parent dies, so a killed run leaves no process."""
+    import multiprocessing
+    import signal
+    import threading
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = multiprocessing.parent_process()
+    threading.Thread(target=lambda: (parent.join(), os._exit(1)), daemon=True).start()
+
+
 def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False,
                        scale=None):
     """Corrupt every manifest sample at one tier and write the output tree.
 
     Layout: out_dir/<tier>/<sample_id>.xyzn plus out_dir/<tier>/summary.csv.
+    Samples run in at most `threads` worker processes (default: the CPUs
+    this process may run on, at most 32), forked where the platform can.
     Each sample is seeded by sample_seed(config.global_seed, sample_id), so
     output bytes do not depend on `threads` or scheduling order. Results
     are read in sample-id order: by default the first failing sample in
     that order raises GenerationError, at any thread count; with keep_going
     the remaining samples still run and failures are collected in the
-    summary. A non-finite noise result or sample mean fails its sample. An
-    error or an interrupt cancels the samples not yet started.
+    summary. A non-finite noise result or sample mean fails its sample, and
+    a worker that dies fails every sample not yet finished. An error or an
+    interrupt cancels the samples not yet handed to a worker: at most
+    2 * threads + 1 beyond the finished ones still run. Workers ignore
+    SIGINT and exit when this process dies.
     The tree is built in a hidden out_dir/.<tier>.* directory and replaces
     out_dir/<tier> only when the run finishes, so a failed or interrupted
     run leaves an earlier tree as it was. A killed run may leave that
     hidden directory behind (holding the earlier tree as `old` if killed
     between the two renames); delete it by hand.
     """
+    # imported here, not at module top, so that `import noisebench` stays fast
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if threads is None:
-        threads = min(32, os.cpu_count() or 1)
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        threads = min(32, len(cpus) if cpus else os.cpu_count() or 1)
+    # forked workers inherit the loaded modules; named, so that a change of
+    # the platform default (forkserver from Python 3.14) changes nothing
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 
     entries = sorted(manifest.entries, key=lambda e: e.sample_id)
     rows = []
     failures = []
     with tempfile.TemporaryDirectory(prefix=f".{config.name}.", dir=out_dir) as work, \
-            ThreadPoolExecutor(max_workers=threads) as pool:
+            ProcessPoolExecutor(max_workers=min(threads, max(len(entries), 1)),
+                                mp_context=multiprocessing.get_context(method),
+                                initializer=_init_worker) as pool:
         tier_dir = Path(work) / config.name
         tier_dir.mkdir()  # 0777 less the umask, unlike the 0700 staging root
         futures = [pool.submit(_corrupt_one, entry, config, scale, tier_dir,

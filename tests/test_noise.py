@@ -227,6 +227,22 @@ def test_corrupt_different_seeds_differ():
     assert not np.array_equal(a.corrupted, b.corrupted)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_corrupt_seed_out_of_range_rejected(seed):
+    # masking to 64 bits would alias these with 2**64 - 1 and 0
+    pts = unit_sphere_cloud(64, seed=28)
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        corrupt_cloud(pts, SENSOR, tier_params("heavy"), k=16, seed=seed)
+
+
+def test_corrupt_seed_range_ends_are_distinct():
+    pts = unit_sphere_cloud(64, seed=28)
+    lo = corrupt_cloud(pts, SENSOR, tier_params("heavy"), k=16, seed=0)
+    hi = corrupt_cloud(pts, SENSOR, tier_params("heavy"), k=16, seed=2**64 - 1)
+    assert (lo.seed, hi.seed) == (0, 2**64 - 1)
+    assert not np.array_equal(lo.corrupted, hi.corrupted)
+
+
 def test_corrupt_gaussian_draws_not_shared_with_outlier_stage():
     # changing p_out must not shift the Gaussian stream: non-replaced points
     # keep bit-identical coordinates

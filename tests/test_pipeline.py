@@ -1,11 +1,16 @@
 """Tests for tier presets, seeding, file formats, and batch generation."""
 
+import concurrent.futures
 import csv
+import functools
 import hashlib
 import importlib.util
-import itertools
+import multiprocessing
 import os
+import pickle
+import signal
 import struct
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -19,13 +24,15 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 
 from conftest import tree_digest, unit_sphere_cloud, write_benchmark_manifest
-from noisebench import (DEFAULT_NORMAL_K, AnnotatedCloud, EmptyCloud,
-                        GenerationError, NoiseParams, ParseError, TIER_NAMES,
-                        TierConfig, UnknownTier, corrupt_cloud, generate_benchmark,
-                        preset_config, read_annotated, read_cloud, read_manifest,
-                        read_predictions, read_tier_config, sample_seed, tier_params,
-                        write_annotated, write_cloud)
+from noisebench import (DEFAULT_NORMAL_K, AnnotatedCloud, DegenerateRay, EmptyCloud,
+                        EmptyInput, GenerationError, InsufficientPoints, MissingSigma,
+                        NoiseBenchError, NoiseParams, ParseError, TIER_NAMES, TierConfig,
+                        TooFewValues, UnknownTier, ZeroVariance, corrupt_cloud,
+                        generate_benchmark, preset_config, read_annotated, read_cloud,
+                        read_manifest, read_predictions, read_tier_config, sample_seed,
+                        tier_params, write_annotated, write_cloud)
 from noisebench import pipeline
+from noisebench.cli import main
 
 
 def test_tier_names_mild_to_harsh():
@@ -460,25 +467,65 @@ def test_generate_benchmark_fail_fast_names_lowest_id(tmp_path, threads):
     assert info.value.sample_id == "s0001"
 
 
-def test_generate_benchmark_interrupt_stops_run(tmp_path, monkeypatch):
-    # Ctrl-C in a sample cancels the samples not yet started: at one thread
-    # only the sample the worker took up next still runs
-    manifest = read_manifest(write_benchmark_manifest(tmp_path, 6, 48, seed=68))
-    real, calls = pipeline._corrupt_one, itertools.count()
+_REAL_CORRUPT_ONE = pipeline._corrupt_one
 
-    def interrupt_second(*args):
-        i = next(calls)
-        if i == 1:
+
+def _scripted_corrupt_one(action, parent, entry, config, scale, tier_dir, base_dir):
+    """_corrupt_one run in a pool worker, leaving a marker file per call.
+
+    At sample s0001 it does `action`: "raise" raises KeyboardInterrupt, which
+    the pool hands to the parent; "sigint" sends a real SIGINT to the
+    process `parent`, the one running generate_benchmark; "die" ends the
+    worker process at once (never `parent` itself). Later samples take
+    0.2 s first, time for the parent to act before they finish.
+    """
+    (base_dir / f"{entry.sample_id}.called").touch()
+    if entry.sample_id == "s0001":
+        if action == "raise":
             raise KeyboardInterrupt
-        if i > 1:
-            time.sleep(0.2)  # time for the interrupt to reach the pool first
-        return real(*args)
+        if action == "sigint":
+            os.kill(parent, signal.SIGINT)
+        if action == "die" and os.getpid() != parent:
+            os._exit(1)
+    if entry.sample_id >= "s0001":
+        time.sleep(0.2)
+    return _REAL_CORRUPT_ONE(entry, config, scale, tier_dir, base_dir)
 
-    monkeypatch.setattr(pipeline, "_corrupt_one", interrupt_second)
+
+def _called(root):
+    return sorted(p.name.removesuffix(".called") for p in root.glob("*.called"))
+
+
+def _check_interrupted_run(root, finished):
+    # samples run in id order, and at one worker at most 2 * 1 + 1 samples
+    # beyond the `finished` ones were handed to it before the interrupt
+    called = _called(root)
+    assert called == [f"s{i:04d}" for i in range(len(called))]
+    assert finished < len(called) <= finished + 2 * 1 + 1
+    assert "s0005" not in called
+    assert list((root / "out").iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_generate_benchmark_interrupt_stops_run(tmp_path, monkeypatch):
+    # a KeyboardInterrupt raised in a sample cancels the samples not yet
+    # handed to a worker
+    manifest = read_manifest(write_benchmark_manifest(tmp_path, 6, 48, seed=68))
+    monkeypatch.setattr(pipeline, "_corrupt_one",
+                        functools.partial(_scripted_corrupt_one, "raise", os.getpid()))
     with pytest.raises(KeyboardInterrupt):
         generate_benchmark(manifest, preset_config("light"), tmp_path / "out", threads=1)
-    assert next(calls) <= 3
-    assert list((tmp_path / "out").iterdir()) == []
+    _check_interrupted_run(tmp_path, finished=2)
+
+
+def test_generate_benchmark_sigint_stops_run(tmp_path, monkeypatch):
+    # a real Ctrl-C reaches the parent alone; the worker finishes its sample
+    manifest = read_manifest(write_benchmark_manifest(tmp_path, 6, 48, seed=68))
+    monkeypatch.setattr(pipeline, "_corrupt_one",
+                        functools.partial(_scripted_corrupt_one, "sigint", os.getpid()))
+    with pytest.raises(KeyboardInterrupt):
+        generate_benchmark(manifest, preset_config("light"), tmp_path / "out", threads=1)
+    _check_interrupted_run(tmp_path, finished=1)
 
 
 @pytest.mark.parametrize("case", ["fail_fast", "interrupted", "keep_going", "fewer"])
@@ -497,14 +544,8 @@ def test_generate_benchmark_rerun_replaces_tree_whole(tmp_path, monkeypatch, cas
         with pytest.raises(GenerationError):
             generate_benchmark(read_manifest(manifest_path), config, out, threads=1)
     elif case == "interrupted":
-        real, calls = pipeline._corrupt_one, itertools.count()
-
-        def interrupt_second(*args):
-            if next(calls) == 1:
-                raise KeyboardInterrupt
-            return real(*args)
-
-        monkeypatch.setattr(pipeline, "_corrupt_one", interrupt_second)
+        monkeypatch.setattr(pipeline, "_corrupt_one",
+                            functools.partial(_scripted_corrupt_one, "sigint", os.getpid()))
         with pytest.raises(KeyboardInterrupt):
             generate_benchmark(read_manifest(manifest_path), config, out, threads=1)
     elif case == "keep_going":
@@ -525,6 +566,142 @@ def test_generate_benchmark_rerun_replaces_tree_whole(tmp_path, monkeypatch, cas
         [f"{sid}.xyzn" for sid in kept] + ["summary.csv"]
     lines = (out / "light" / "summary.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == kept
+
+
+def test_generate_benchmark_worker_death(tmp_path, monkeypatch, capsys):
+    # a worker that dies fails its sample and every one not yet finished;
+    # nothing hangs, and fail-fast leaves the earlier tree as it was
+    manifest_path = write_benchmark_manifest(tmp_path, 4, 48, seed=69)
+    out = tmp_path / "out"
+    generate_benchmark(read_manifest(manifest_path), preset_config("light"), out)
+    before = tree_digest(out / "light")
+    monkeypatch.setattr(pipeline, "_corrupt_one",
+                        functools.partial(_scripted_corrupt_one, "die", os.getpid()))
+    with pytest.raises(GenerationError) as info:
+        generate_benchmark(read_manifest(manifest_path), preset_config("light", 1), out,
+                           threads=1)
+    assert info.value.sample_id == "s0001"
+    assert tree_digest(out / "light") == before
+    assert [p.name for p in out.iterdir()] == ["light"]
+    assert multiprocessing.active_children() == []
+
+    assert main(["corrupt", str(manifest_path), "light", str(out), "--seed", "1",
+                 "--threads", "1", "--keep-going"]) == 1
+    err = capsys.readouterr().err
+    assert [line.split(":")[0] for line in err.splitlines()] == \
+        ["failed s0001", "failed s0002", "failed s0003"]
+    assert sorted(p.name for p in (out / "light").iterdir()) == \
+        ["s0000.xyzn", "summary.csv"]
+    assert multiprocessing.active_children() == []
+
+
+_KILLED_RUN = """
+import os, sys, time
+from noisebench import generate_benchmark, pipeline, preset_config, read_manifest
+
+def hold(entry, config, scale, tier_dir, base_dir):
+    (base_dir / f"{os.getpid()}.worker").touch()
+    time.sleep(120)
+
+pipeline._corrupt_one = hold
+generate_benchmark(read_manifest(sys.argv[1]), preset_config("light"), sys.argv[2],
+                   threads=2)
+"""
+
+
+def _gone(pid):
+    """True once process `pid` has exited, also as a zombie not yet reaped."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_generate_benchmark_killed_run_leaves_no_worker(tmp_path):
+    # the workers of a run killed outright exit as well, instead of waiting
+    # for work forever
+    manifest = write_benchmark_manifest(tmp_path, 4, 48, seed=71)
+    src = str(Path(pipeline.__file__).parents[1])
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_RUN, str(manifest),
+                             str(tmp_path / "out")], env={**os.environ, "PYTHONPATH": src})
+    try:
+        deadline = time.monotonic() + 60
+        while len(list(tmp_path.glob("*.worker"))) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+    pids = [int(p.stem) for p in tmp_path.glob("*.worker")]
+    try:
+        assert len(pids) == 2
+        deadline = time.monotonic() + 30
+        while not all(map(_gone, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert all(map(_gone, pids))
+    finally:
+        for pid in pids:
+            if not _gone(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_generate_benchmark_default_workers_follow_affinity(tmp_path, monkeypatch,
+                                                            affinity):
+    # without `threads`, one worker per CPU this process may run on: the
+    # affinity mask where the platform has one, else the CPU count
+    sizes = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def recording_pool(max_workers, **kwargs):
+        sizes.append(max_workers)
+        return real(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    manifest = read_manifest(write_benchmark_manifest(tmp_path, 4, 48, seed=70))
+    summary = generate_benchmark(manifest, preset_config("light"), tmp_path / "out")
+    assert summary.sample_count == 4
+    assert sizes == [1]
+
+
+def _error_classes(cls=NoiseBenchError):
+    return [cls] + [sub for c in cls.__subclasses__() for sub in _error_classes(c)]
+
+
+_ERROR_ARGS = {
+    NoiseBenchError: ("message",),
+    InsufficientPoints: ("need more than 16 points, got 9",),
+    DegenerateRay: ("point 3 sits on the sensor",),
+    UnknownTier: ("extreme", TIER_NAMES),
+    ParseError: ("bad value", "cloud.xyz", 7),
+    EmptyCloud: ("no points",),
+    EmptyInput: ("no records",),
+    ZeroVariance: ("sigma is constant",),
+    MissingSigma: ([f"s{i}" for i in range(12)],),
+    TooFewValues: ("3 values for 4 groups",),
+    GenerationError: ("s0001", ParseError("bad value", "cloud.xyz", 7)),
+}
+
+
+def test_errors_survive_pickling():
+    # a sample's error crosses from its worker process to the parent pickled
+    assert sorted(c.__name__ for c in _error_classes()) == \
+        sorted(c.__name__ for c in _ERROR_ARGS)
+    for cls, args in _ERROR_ARGS.items():
+        exc = cls(*args)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(exc, protocol))
+            assert type(back) is cls
+            assert str(back) == str(exc)
+            assert back.args == exc.args
+            assert repr(vars(back)) == repr(vars(exc))
 
 
 def test_generate_benchmark_rejects_zero_threads(tmp_path):
