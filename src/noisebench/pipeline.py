@@ -22,6 +22,7 @@ is a ParseError citing its file line (for CSV, where its record starts).
 import hashlib
 import os
 import struct
+import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -278,13 +279,27 @@ def _init_worker():
     threading.Thread(target=lambda: (parent.join(), os._exit(1)), daemon=True).start()
 
 
+def _start_method():
+    # fork, so that workers inherit the loaded numpy and noisebench, only
+    # where it is multiprocessing's own silent default (Linux before Python
+    # 3.12, which warns on forking a process with threads) and no other
+    # Python thread runs, since a fork copies no other thread, nor any lock
+    # one holds; numpy's OpenBLAS threads have fork handlers. Else spawn.
+    import threading
+
+    linux_default = sys.platform == "linux" and sys.version_info < (3, 12)
+    return "fork" if linux_default and threading.active_count() == 1 else "spawn"
+
+
 def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False,
                        scale=None):
     """Corrupt every manifest sample at one tier and write the output tree.
 
     Layout: out_dir/<tier>/<sample_id>.xyzn plus out_dir/<tier>/summary.csv.
     Samples run in at most `threads` worker processes (default: the CPUs
-    this process may run on, at most 32), forked where the platform can.
+    this process may run on, at most 32), started as _start_method says;
+    a spawned worker imports the caller's main module, which must then
+    guard its entry point with `if __name__ == "__main__":`.
     Each sample is seeded by sample_seed(config.global_seed, sample_id), so
     output bytes do not depend on `threads` or scheduling order. Results
     are read in sample-id order: by default the first failing sample in
@@ -310,16 +325,13 @@ def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False
     if threads is None:
         cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         threads = min(32, len(cpus) if cpus else os.cpu_count() or 1)
-    # forked workers inherit the loaded modules; named, so that a change of
-    # the platform default (forkserver from Python 3.14) changes nothing
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 
     entries = sorted(manifest.entries, key=lambda e: e.sample_id)
     rows = []
     failures = []
     with tempfile.TemporaryDirectory(prefix=f".{config.name}.", dir=out_dir) as work, \
             ProcessPoolExecutor(max_workers=min(threads, max(len(entries), 1)),
-                                mp_context=multiprocessing.get_context(method),
+                                mp_context=multiprocessing.get_context(_start_method()),
                                 initializer=_init_worker) as pool:
         tier_dir = Path(work) / config.name
         tier_dir.mkdir()  # 0777 less the umask, unlike the 0700 staging root

@@ -12,6 +12,7 @@ import signal
 import struct
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -467,6 +468,53 @@ def test_generate_benchmark_fail_fast_names_lowest_id(tmp_path, threads):
     assert info.value.sample_id == "s0001"
 
 
+@pytest.fixture(params=["fork", "spawn"])
+def start_method(request, monkeypatch):
+    """Run the test's pools with workers forked, then spawned."""
+    if request.param not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {request.param} start method here")
+    monkeypatch.setattr(pipeline, "_start_method", lambda: request.param)
+    return request.param
+
+
+def test_start_method_forks_only_a_lone_thread_on_linux(monkeypatch):
+    # fork only where it is multiprocessing's silent default and no other
+    # Python thread could hold a lock the forked worker would copy
+    linux_default = sys.platform == "linux" and sys.version_info < (3, 12)
+    assert pipeline._start_method() == ("fork" if linux_default else "spawn")
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert pipeline._start_method() == "spawn"
+    finally:
+        stop.set()
+        other.join()
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert pipeline._start_method() == "spawn"
+
+
+def test_generate_benchmark_called_from_a_thread(tmp_path, monkeypatch):
+    # a caller with its own threads gets spawned workers, and the same bytes
+    methods = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def recording_pool(max_workers, mp_context, **kwargs):
+        methods.append(mp_context.get_start_method())
+        return real(max_workers, mp_context=mp_context, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    manifest = read_manifest(write_benchmark_manifest(tmp_path, 3, 48, seed=72))
+    generate_benchmark(manifest, preset_config("heavy"), tmp_path / "main", threads=2)
+    caller = threading.Thread(target=generate_benchmark,
+                              args=(manifest, preset_config("heavy"), tmp_path / "thread"),
+                              kwargs={"threads": 2})
+    caller.start()
+    caller.join()
+    assert methods[1:] == ["spawn"]
+    assert tree_digest(tmp_path / "thread") == tree_digest(tmp_path / "main")
+
+
 _REAL_CORRUPT_ONE = pipeline._corrupt_one
 
 
@@ -518,7 +566,7 @@ def test_generate_benchmark_interrupt_stops_run(tmp_path, monkeypatch):
     _check_interrupted_run(tmp_path, finished=2)
 
 
-def test_generate_benchmark_sigint_stops_run(tmp_path, monkeypatch):
+def test_generate_benchmark_sigint_stops_run(tmp_path, monkeypatch, start_method):
     # a real Ctrl-C reaches the parent alone; the worker finishes its sample
     manifest = read_manifest(write_benchmark_manifest(tmp_path, 6, 48, seed=68))
     monkeypatch.setattr(pipeline, "_corrupt_one",
@@ -568,7 +616,7 @@ def test_generate_benchmark_rerun_replaces_tree_whole(tmp_path, monkeypatch, cas
     assert [line.split(",")[0] for line in lines[1:]] == kept
 
 
-def test_generate_benchmark_worker_death(tmp_path, monkeypatch, capsys):
+def test_generate_benchmark_worker_death(tmp_path, monkeypatch, capsys, start_method):
     # a worker that dies fails its sample and every one not yet finished;
     # nothing hangs, and fail-fast leaves the earlier tree as it was
     manifest_path = write_benchmark_manifest(tmp_path, 4, 48, seed=69)
@@ -603,9 +651,11 @@ def hold(entry, config, scale, tier_dir, base_dir):
     (base_dir / f"{os.getpid()}.worker").touch()
     time.sleep(120)
 
-pipeline._corrupt_one = hold
-generate_benchmark(read_manifest(sys.argv[1]), preset_config("light"), sys.argv[2],
-                   threads=2)
+if __name__ == "__main__":
+    pipeline._corrupt_one = hold
+    pipeline._start_method = lambda: sys.argv[3]
+    generate_benchmark(read_manifest(sys.argv[1]), preset_config("light"), sys.argv[2],
+                       threads=2)
 """
 
 
@@ -619,13 +669,15 @@ def _gone(pid):
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
-def test_generate_benchmark_killed_run_leaves_no_worker(tmp_path):
+def test_generate_benchmark_killed_run_leaves_no_worker(tmp_path, start_method):
     # the workers of a run killed outright exit as well, instead of waiting
-    # for work forever
+    # for work forever; a script file, so that spawned workers can find `hold`
     manifest = write_benchmark_manifest(tmp_path, 4, 48, seed=71)
+    script = tmp_path / "killed_run.py"
+    script.write_text(_KILLED_RUN)
     src = str(Path(pipeline.__file__).parents[1])
-    proc = subprocess.Popen([sys.executable, "-c", _KILLED_RUN, str(manifest),
-                             str(tmp_path / "out")], env={**os.environ, "PYTHONPATH": src})
+    proc = subprocess.Popen([sys.executable, str(script), str(manifest), str(tmp_path / "out"),
+                             start_method], env={**os.environ, "PYTHONPATH": src})
     try:
         deadline = time.monotonic() + 60
         while len(list(tmp_path.glob("*.worker"))) < 2 and time.monotonic() < deadline:
