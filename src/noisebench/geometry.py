@@ -91,18 +91,19 @@ def _knn_indices(pts, k):
     ties go to the lower point index. Coordinates must be finite.
 
     Exact uniform-grid search. Points are bucketed into cubic cells sized
-    to hold about k points each, and a point's candidates are the points in
-    the 3x3x3 cells around its own. Its k smallest candidates are the
-    global answer when the k-th distance is below the squared distance from
-    the point to the outside of that block, less the expansion's absolute
-    rounding error (about eps * max |p|^2, which grows with the distance
-    from the origin). A block side on the bounding box is infinitely far.
-    Rejected points are searched again with cells twice as large; once a
-    block spans the bounding box the search is brute force, so the loop
-    ends and the result is always exact. Cost is O(n k) time on evenly
-    spread clouds and O(n^2) at worst (one dense cluster plus far
-    outliers). Candidates are per-chunk tables, a row per query cell padded
-    with a sentinel at d^2 = +inf; scratch beyond O(n) is a few _KNN_BLOCK-entry arrays.
+    from the cloud's measured occupancy (_cell_side), and a point's
+    candidates are the points in the 3x3x3 cells around its own. Its k
+    smallest candidates are the global answer when the k-th distance is
+    below the squared distance from the point to the outside of that block,
+    less the expansion's absolute rounding error (about eps * max |p|^2,
+    which grows with the distance from the origin). A block side on the
+    bounding box is infinitely far. Rejected points are searched again with
+    cells twice as large; once a block spans the bounding box the search is
+    brute force, so the loop ends and the result is always exact. Cost is
+    O(n k) time on clouds evenly spread over a curve, surface or volume, and
+    O(n^2) at worst (one dense cluster plus far outliers). Candidates are
+    per-chunk tables, a row per query cell padded with a sentinel at d^2 =
+    +inf; scratch beyond O(n) is a few _KNN_BLOCK-entry arrays.
     """
     n = len(pts)
     if not 0 < k < n:
@@ -116,13 +117,7 @@ def _knn_indices(pts, k):
     # error bound for a computed d^2 (under 20 eps max|p|^2) plus that of
     # the squared block distance (under 60 eps max|p|^2), with margin
     slack = 128.0 * (_EPS * xyzs[3, :n].max() + _TINY)
-    # cell side that puts k points in a cell when they fill the bounding
-    # box's 1-, 2- or 3-d hull; the largest of the three sizes flat and thin
-    # clouds for their real extent. It only affects speed. Sides relative to
-    # the longest keep the products from overflowing on huge extents.
-    side = np.sort(extent)[::-1]
-    rel = side / (side[0] or 1.0)
-    h = side[0] * max((np.prod(rel[:d]) * k / n) ** (1.0 / d) for d in (1, 2, 3)) or 1.0
+    h = _cell_side(pts, k, lo, extent)
 
     out = np.empty((n, k), dtype=np.intp)
     todo = np.arange(n)
@@ -132,22 +127,57 @@ def _knn_indices(pts, k):
     return out
 
 
+def _cell_side(pts, k, lo, extent):
+    """First-pass kNN cell side, so a point's 3x3x3 block holds about 6 k points."""
+    # it only affects speed. It starts where k points fill a cell of the
+    # bounding box's 1-, 2- or 3-d hull, the largest of the three (sides
+    # relative to the longest keep the products from overflowing on huge
+    # extents). A surface or curve inside that box leaves most cells empty
+    # and crowds the rest, so the side then shrinks by 0.8 while the
+    # point-weighted mean block count, from one bucketing and a separable
+    # box sum, exceeds 6 k, unless the grid would pass n cells or not grow
+    # (as at zero extent); so all scratch is O(n). At 4 k, a filled ball's
+    # blocks get too thin and many of its points need a retry
+    n = len(pts)
+    side = np.sort(extent)[::-1]
+    rel = side / (side[0] or 1.0)
+    h = side[0] * max((np.prod(rel[:d]) * k / n) ** (1.0 / d) for d in (1, 2, 3)) or 1.0
+    for _ in range(16):
+        ncell, *_, key = _cells(pts, lo, extent, h)
+        occ = np.bincount(key, minlength=np.prod(ncell)).reshape(ncell)
+        block = np.pad(occ, 1)
+        for ax in range(3):
+            b = block.swapaxes(0, ax)
+            block = (b[:-2] + b[1:-1] + b[2:]).swapaxes(0, ax)
+        grid = np.floor(extent / (0.8 * h)) + 1
+        if (occ * block).sum() <= 6 * k * n or grid.prod() > n or (grid == ncell).all():
+            break
+        h *= 0.8
+    return h
+
+
 def _spans(starts, counts):
     """Concatenation of the index ranges [starts[i], starts[i] + counts[i])."""
     return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
+def _cells(pts, lo, extent, h):
+    """Grid shape, cell-unit coordinates, cell and flat cell key of each point."""
+    ncell = np.floor(extent / h).astype(np.int64) + 1
+    t = (pts - lo) / h
+    cell = np.minimum(np.floor(t).astype(np.int64), ncell - 1)
+    return ncell, t, cell, (cell[:, 0] * ncell[1] + cell[:, 1]) * ncell[2] + cell[:, 2]
+
+
 def _grid_pass(xyzs, k, rows, out, lo, extent, h, slack):
     """One grid search with cell side h for `rows`; returns the rejected rows."""
     n = xyzs.shape[1] - 1
-    ncell = np.floor(extent / h).astype(np.int64) + 1
-    t = (xyzs[:3, :n].T - lo) / h                        # cell units
-    cell = np.minimum(np.floor(t).astype(np.int64), ncell - 1)
-    key = (cell[:, 0] * ncell[1] + cell[:, 1]) * ncell[2] + cell[:, 2]
+    ncell, t, cell, key = _cells(xyzs[:3, :n].T, lo, extent, h)
     order = np.argsort(key, kind="stable")
-    # order[start[c]:start[c + 1]] are cell c's points. h is at least each of
-    # the 1-, 2- and 3-d hull cell sizes, so there are at most about 8 n / k
-    # cells and the table stays O(n) (doubling h on a retry only shrinks it)
+    # order[start[c]:start[c + 1]] are cell c's points. The first pass's h
+    # is the hull cell size, whose grid has at most about 8 n / k cells, or
+    # a smaller one whose grid has at most n; either way the table stays
+    # O(n) (doubling h on a retry only shrinks it)
     start = np.searchsorted(key[order], np.arange(np.prod(ncell) + 1))
 
     # squared distance from each point to the outside of its block, less
@@ -155,6 +185,7 @@ def _grid_pass(xyzs, k, rows, out, lo, extent, h, slack):
     below = np.where(cell - 1 > 0, t - (cell - 1), np.inf)
     above = np.where(cell + 1 < ncell - 1, (cell + 2) - t, np.inf)
     bound = (np.minimum(below, above).min(axis=1) * h) ** 2 - slack
+    del t, below, above  # (n, 3) scratch, not held through the search
 
     # every occupied query cell's 3x3x3 block at once: each of its 9 (x, y)
     # columns is a run of consecutive cells, so its points are order[s0:s0 +
@@ -167,6 +198,7 @@ def _grid_pass(xyzs, k, rows, out, lo, extent, h, slack):
     col = (x * ncell[1] + y) * ncell[2]
     s0 = start[np.where(on, col + np.maximum(c[:, 2:] - 1, 0), 0)]
     cnt = start[np.where(on, col + np.minimum(c[:, 2:] + 2, ncell[2]), 0)] - s0
+    del x, y, on, col
     # cells widest block first, rows grouped by cell in that order; cells
     # whose block holds no more than k points besides their own come last
     # and are rejected

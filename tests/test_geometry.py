@@ -2,10 +2,13 @@
 
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -145,7 +148,8 @@ def knn_cases(draw):
     k = draw(st.integers(1, 16))
     n = draw(st.one_of(st.just(k + 1), st.integers(k + 1, 150)))
     kind = draw(st.sampled_from(["floats", "coincident", "duplicates", "grid",
-                                 "collinear", "outliers", "clusters", "offset"]))
+                                 "collinear", "outliers", "clusters", "offset",
+                                 "shell", "curve"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "floats":
         pts = draw(arrays(np.float64, (n, 3),
@@ -171,9 +175,24 @@ def knn_cases(draw):
                + rng.normal(0.0, 1.0, (n, 3)) * spread[which, None])
         far = rng.random(n) < 0.05
         pts[far] = rng.uniform(-1e3, 1e3, (far.sum(), 3))
+    elif kind == "shell":  # a surface: cells shrink below the bounding-box size
+        pts = rng.standard_normal((n, 3))
+        pts *= 10.0 ** rng.uniform(-8.0, 2.0) / np.linalg.norm(pts, axis=1)[:, None]
+        pts += rng.uniform(-1e2, 1e2, 3)
+    elif kind == "curve":  # a helix, or a circle at zero pitch
+        s = rng.uniform(0.0, 4.0 * math.pi, n)
+        pitch = rng.choice([0.0, rng.uniform(0.01, 1.0)])
+        pts = np.column_stack([np.cos(s), np.sin(s), pitch * s]) @ _rotation(rng)
+        pts = pts * 10.0 ** rng.uniform(-4.0, 2.0) + rng.uniform(-1e2, 1e2, 3)
     else:  # rounding error of the expansion is ~eps * 1e6 here
         pts = rng.uniform(0.0, 1.0, (n, 3)) + rng.uniform(-1e3, 1e3, 3)
     return pts, k
+
+
+def _rotation(rng):
+    """A random 3x3 rotation."""
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    return q * np.sign(np.diag(r))
 
 
 @settings(max_examples=300, deadline=None)
@@ -199,13 +218,34 @@ def _grid_plane(nx, nz):
     return np.column_stack([i.ravel(), np.zeros(i.size), j.ravel()]) * 2.0 ** -6
 
 
+def _tilted_plane(nx, ny):
+    """An nx x ny grid in a plane tilted to all three axes."""
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    return np.column_stack([i.ravel(), j.ravel(), i.ravel() + j.ravel()]) * 0.125
+
+
+def _jittered_line(rng, n):
+    """n points along x, off it by ~1e-3: the cell grid is long on x alone."""
+    return np.column_stack([rng.uniform(0.0, 100.0, n), rng.normal(0.0, 1e-3, (n, 2))])
+
+
+def _torus(rng, n):
+    """n points on a torus of radii 1 and 0.3 about z."""
+    u, v = rng.uniform(0.0, 2.0 * math.pi, (2, n))
+    ring = 1.0 + 0.3 * np.cos(v)
+    return np.column_stack([ring * np.cos(u), ring * np.sin(u), 0.3 * np.sin(v)])
+
+
 def test_knn_scratch_memory_bounded():
     # scratch is a few arrays of _KNN_BLOCK entries per chunk, not one per
-    # candidate block: a dense cluster's block is almost the whole cloud
+    # candidate block: a dense cluster's block is almost the whole cloud.
+    # The cell-sizing counts and the cell table are bounded by n, even where
+    # shrinking cells for a surface or a thin line would make many of them
     rng = np.random.default_rng(14)
     cluster = np.vstack([rng.normal(0.0, 1e-3, (4088, 3)),
                          rng.normal(0.0, 10.0, (8, 3))])
-    for pts in (cluster, unit_sphere_cloud(8192, seed=15)):
+    for pts in (cluster, unit_sphere_cloud(8192, seed=15),
+                unit_sphere_cloud(16384, seed=17), _jittered_line(rng, 4000)):
         tracemalloc.start()
         try:
             _knn_indices(pts, 16)
@@ -249,18 +289,57 @@ def test_knn_matches_brute_force_large_clouds():
     rng = np.random.default_rng(12)
     cluster = np.vstack([rng.normal(0.0, 1e-3, (3000, 3)),
                          rng.uniform(-50.0, 50.0, (40, 3))])
-    i, j = np.meshgrid(np.arange(60), np.arange(50), indexing="ij")
-    tilted = np.column_stack([i.ravel(), j.ravel(), i.ravel() + j.ravel()]) * 0.125
     # at 1e7 from the origin the expansion's rounding error (~eps * 1e14)
     # is as large as the neighbour distances themselves; the block test
     # must allow for it or rows with a closer point outside pass
     far = rng.uniform(0.0, 1.0, (1500, 3)) + 1e7 * rng.uniform(0.5, 1.0, 3)
-    # a jittered line: the 1-d hull sizes the cells, so the first pass's
-    # cell table is the largest any cloud makes (about n / k cells on x)
-    line = np.column_stack([rng.uniform(0.0, 100.0, 4000),
-                            rng.normal(0.0, 1e-3, (4000, 2))])
-    for pts in (unit_sphere_cloud(3000, seed=11) + 1e3, cluster, tilted, far, line):
+    # a jittered line: the 1-d hull sizes the cells at about k points each,
+    # n / k cells on x, and its 3-cell blocks are too sparse to shrink them.
+    # Surfaces (the spheres, the tilted plane, the torus) get cells smaller
+    # than the hull size, so more points need a retry
+    line = _jittered_line(rng, 4000)
+    for pts in (unit_sphere_cloud(3000, seed=11) + 1e3, cluster, _tilted_plane(60, 50), far,
+                line, unit_sphere_cloud(16384, seed=18), _torus(rng, 8192)):
         assert_array_equal(_knn_indices(pts, 16), _brute_force_knn(pts, 16))
+
+
+def test_knn_sizing_ends_on_coincident_points(tmp_path):
+    # zero extent gives one cell at any side, so shrinking cells never
+    # thins a block; one distinct point makes a grid that grows with every
+    # step. A sizing loop that did not end would fail here, not hang
+    code = ("import sys; import numpy as np; from noisebench.geometry import _knn_indices; "
+            "p = np.tile([1.0, -2.0, 3.0], (2000, 1)); "
+            "np.save(sys.argv[1], _knn_indices(p, 16)); "
+            "np.save(sys.argv[2], _knn_indices(np.vstack([p, [[1.5, -2.0, 3.0]]]), 16))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    outs = [tmp_path / "same.npy", tmp_path / "one_apart.npy"]
+    subprocess.run([sys.executable, "-c", code, *map(str, outs)], env=env, check=True,
+                   timeout=60)
+    pts = np.tile([1.0, -2.0, 3.0], (2000, 1))
+    assert_array_equal(np.load(outs[0]), _brute_force_knn(pts, 16))
+    pts = np.vstack([pts, [[1.5, -2.0, 3.0]]])
+    assert_array_equal(np.load(outs[1]), _brute_force_knn(pts, 16))
+
+
+def test_knn_candidates_per_point_bounded():
+    # on a surface inside a 3-d box, cells sized for the box crowd each
+    # block with far more than k points, more as n grows; sized by measured
+    # occupancy, the candidate d^2 entries per point stay a small multiple of k
+    k = 16
+    nearest_in = geometry._nearest_in
+    for pts in (unit_sphere_cloud(16384, seed=19), _tilted_plane(60, 50)):
+        entries = 0
+
+        def spy(xyzs, k, blk, cand, table, *rest):
+            nonlocal entries
+            entries += len(blk) * table.shape[1]
+            return nearest_in(xyzs, k, blk, cand, table, *rest)
+
+        with mock.patch.object(geometry, "_nearest_in", spy):
+            _knn_indices(pts, k)
+        assert entries <= 16 * k * len(pts)
 
 
 def test_knn_rejects_k_out_of_range():
