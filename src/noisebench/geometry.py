@@ -91,7 +91,7 @@ def _knn_indices(pts, k):
     ties go to the lower point index. Coordinates must be finite.
 
     Exact uniform-grid search. Points are bucketed into cubic cells sized
-    from the cloud's measured occupancy (_cell_side), and a point's
+    from the cloud's measured occupancy (see the sizing loop), and a point's
     candidates are the points in the 3x3x3 cells around its own. Its k
     smallest candidates are the global answer when the k-th distance is
     below the squared distance from the point to the outside of that block,
@@ -112,48 +112,48 @@ def _knn_indices(pts, k):
     # |p|^2 = +inf, so its d^2 to any point is +inf
     x, y, z = pts.T
     xyzs = np.append([x, y, z, x * x + y * y + z * z], [[0.0], [0.0], [0.0], [np.inf]], axis=1)
+    pts = xyzs[:3, :n].T  # every grid buckets this column-major view
     lo = pts.min(axis=0)
     extent = pts.max(axis=0) - lo
     # error bound for a computed d^2 (under 20 eps max|p|^2) plus that of
     # the squared block distance (under 60 eps max|p|^2), with margin
     slack = 128.0 * (_EPS * xyzs[3, :n].max() + _TINY)
-    h = _cell_side(pts, k, lo, extent)
 
-    out = np.empty((n, k), dtype=np.intp)
-    todo = np.arange(n)
-    while todo.size:
-        todo = _grid_pass(xyzs, k, todo, out, lo, extent, h, slack)
-        h *= 2.0
-    return out
-
-
-def _cell_side(pts, k, lo, extent):
-    """First-pass kNN cell side, so a point's 3x3x3 block holds about 6 k points."""
-    # it only affects speed. It starts where k points fill a cell of the
-    # bounding box's 1-, 2- or 3-d hull, the largest of the three (sides
-    # relative to the longest keep the products from overflowing on huge
-    # extents). A surface or curve inside that box leaves most cells empty
-    # and crowds the rest, so the side then shrinks by 0.8 while the
-    # point-weighted mean block count, from one bucketing and a separable
-    # box sum, exceeds 6 k, unless the grid would pass n cells or not grow
-    # (as at zero extent); so all scratch is O(n). At 4 k, a filled ball's
-    # blocks get too thin and many of its points need a retry
-    n = len(pts)
+    # the first side only affects speed. It starts where k points fill a
+    # cell of the bounding box's 1-, 2- or 3-d hull, the largest of the
+    # three (sides relative to the longest keep the products from
+    # overflowing on huge extents). A surface or curve inside that box
+    # leaves most cells empty and crowds the rest, so the side then shrinks
+    # by 0.8 while the point-weighted mean block count, from one bucketing
+    # and a separable box sum, exceeds 6 k, unless the grid would pass n
+    # cells or not grow (as at zero extent), for at most 16 steps; so all
+    # scratch is O(n). At 4 k, a filled ball's blocks get too thin and many
+    # of its points need a retry. Each side is bucketed once: the last grid
+    # measured is the first one searched
     side = np.sort(extent)[::-1]
     rel = side / (side[0] or 1.0)
     h = side[0] * max((np.prod(rel[:d]) * k / n) ** (1.0 / d) for d in (1, 2, 3)) or 1.0
-    for _ in range(16):
-        ncell, *_, key = _cells(pts, lo, extent, h)
+    for step in range(17):
+        grid = ncell, _, _, key = _cells(pts, lo, extent, h)
         occ = np.bincount(key, minlength=np.prod(ncell)).reshape(ncell)
         block = np.pad(occ, 1)
         for ax in range(3):
             b = block.swapaxes(0, ax)
             block = (b[:-2] + b[1:-1] + b[2:]).swapaxes(0, ax)
-        grid = np.floor(extent / (0.8 * h)) + 1
-        if (occ * block).sum() <= 6 * k * n or grid.prod() > n or (grid == ncell).all():
+        nxt = np.floor(extent / (0.8 * h)) + 1
+        if (step == 16 or (occ * block).sum() <= 6 * k * n or nxt.prod() > n
+                or (nxt == ncell).all()):
             break
         h *= 0.8
-    return h
+    del occ, block, b, ncell, _, key  # sizing scratch, not held through the search
+
+    out = np.empty((n, k), dtype=np.intp)
+    todo = _grid_pass(xyzs, k, np.arange(n), out, h, grid, slack)
+    del grid  # nor is the first grid held through the retries
+    while todo.size:
+        h *= 2.0
+        todo = _grid_pass(xyzs, k, todo, out, h, _cells(pts, lo, extent, h), slack)
+    return out
 
 
 def _spans(starts, counts):
@@ -169,15 +169,15 @@ def _cells(pts, lo, extent, h):
     return ncell, t, cell, (cell[:, 0] * ncell[1] + cell[:, 1]) * ncell[2] + cell[:, 2]
 
 
-def _grid_pass(xyzs, k, rows, out, lo, extent, h, slack):
-    """One grid search with cell side h for `rows`; returns the rejected rows."""
+def _grid_pass(xyzs, k, rows, out, h, grid, slack):
+    """One search of `rows` on a _cells grid of side h; returns the rejected rows."""
     n = xyzs.shape[1] - 1
-    ncell, t, cell, key = _cells(xyzs[:3, :n].T, lo, extent, h)
+    ncell, t, cell, key = grid
     order = np.argsort(key, kind="stable")
-    # order[start[c]:start[c + 1]] are cell c's points. The first pass's h
-    # is the hull cell size, whose grid has at most about 8 n / k cells, or
-    # a smaller one whose grid has at most n; either way the table stays
-    # O(n) (doubling h on a retry only shrinks it)
+    # order[start[c]:start[c + 1]] are cell c's points. The first pass's
+    # grid is the hull's, at most about 8 n / k cells, or a shrunk one of
+    # at most n; either way the table stays O(n) (doubling h on a retry
+    # only shrinks it)
     start = np.searchsorted(key[order], np.arange(np.prod(ncell) + 1))
 
     # squared distance from each point to the outside of its block, less
@@ -185,7 +185,7 @@ def _grid_pass(xyzs, k, rows, out, lo, extent, h, slack):
     below = np.where(cell - 1 > 0, t - (cell - 1), np.inf)
     above = np.where(cell + 1 < ncell - 1, (cell + 2) - t, np.inf)
     bound = (np.minimum(below, above).min(axis=1) * h) ** 2 - slack
-    del t, below, above  # (n, 3) scratch, not held through the search
+    del grid, t, below, above  # (n, 3) scratch, not held through the search
 
     # every occupied query cell's 3x3x3 block at once: each of its 9 (x, y)
     # columns is a run of consecutive cells, so its points are order[s0:s0 +

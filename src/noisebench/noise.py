@@ -135,13 +135,14 @@ def inject_outliers(points, p_out, bbox, rng):
 class AnnotatedCloud:
     """A corrupted cloud with per-point noise annotations.
 
-    clean and corrupted have identical shapes; sigma, mu, r and cos_theta
+    corrupted has the clean cloud's shape; sigma, mu, r and cos_theta
     describe the noise model evaluated on the clean geometry. outlier marks
     points whose coordinates were replaced by bounding-box draws (their
-    sigma/mu annotations still describe the pre-replacement geometry).
+    sigma/mu annotations still describe the pre-replacement geometry). It
+    holds no copy of the clean cloud (the former `clean` field); callers
+    keep their own.
     """
 
-    clean: np.ndarray
     corrupted: np.ndarray
     sigma: np.ndarray
     mu: np.ndarray
@@ -152,14 +153,13 @@ class AnnotatedCloud:
     seed: int = 0
 
     def __post_init__(self):
-        n = len(self.clean)
-        for name in ("corrupted", "sigma", "mu", "r", "cos_theta", "outlier",
-                     "degenerate_normal"):
+        n = len(self.corrupted)
+        for name in ("sigma", "mu", "r", "cos_theta", "outlier", "degenerate_normal"):
             if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} length does not match clean cloud ({n})")
+                raise ValueError(f"{name} length does not match the cloud ({n})")
 
     def __len__(self):
-        return len(self.clean)
+        return len(self.corrupted)
 
     def mean_sigma(self):
         """Arithmetic mean of the per-point sigma annotations."""
@@ -217,7 +217,6 @@ def corrupt_cloud(points, sensor, params, k=16, seed=0):
     )
 
     return AnnotatedCloud(
-        clean=pts.copy(),
         corrupted=corrupted,
         sigma=sigma,
         mu=mu,

@@ -121,11 +121,13 @@ def test_knn_excludes_self_not_duplicates():
 
 
 def _brute_force_knn(pts, k):
-    """The original O(n^2 log n) search, kept as the reference.
+    """Exhaustive search, kept as the reference.
 
-    Full distance rows and a stable argsort, so exact ties go to the lower
-    index. d^2 is the same per-pair expansion as the grid search's; the
-    original took a.b from BLAS, whose rounding depends on the call's shape.
+    Full distance rows and k rounds of argmin, each pick then set to +inf:
+    argmin returns the first minimum, so exact ties go to the lower index
+    with no sort (the grid search selects, then sorts stably). d^2 is the
+    same per-pair expansion as the grid search's, not a.b from BLAS, whose
+    rounding depends on the call's shape.
     """
     n = len(pts)
     x, y, z = pts.T
@@ -137,8 +139,11 @@ def _brute_force_knn(pts, k):
                + z[start:stop, None] * z)
         d2 = sq[start:stop, None] + sq[None, :] - 2.0 * dot
         np.maximum(d2, 0.0, out=d2)
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        out[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        rows = np.arange(stop - start)
+        d2[rows, np.arange(start, stop)] = np.inf
+        for j in range(k):
+            out[start:stop, j] = pick = d2.argmin(axis=1)
+            d2[rows, pick] = np.inf
     return out
 
 
@@ -321,6 +326,27 @@ def test_knn_sizing_ends_on_coincident_points(tmp_path):
     assert_array_equal(np.load(outs[0]), _brute_force_knn(pts, 16))
     pts = np.vstack([pts, [[1.5, -2.0, 3.0]]])
     assert_array_equal(np.load(outs[1]), _brute_force_knn(pts, 16))
+
+
+def test_knn_buckets_each_side_once():
+    # the last grid the cell sizing measures is the one the first pass
+    # searches, and each retry buckets only its own doubled side
+    cells = geometry._cells
+    rng = np.random.default_rng(20)
+    cluster = np.vstack([rng.normal(0.0, 1e-3, (4088, 3)),
+                         rng.normal(0.0, 10.0, (8, 3))])
+    for pts in (unit_sphere_cloud(1024, seed=16), unit_sphere_cloud(8192, seed=15),
+                _grid_plane(128, 64), cluster, np.tile([1.0, -2.0, 3.0], (2000, 1))):
+        sides = []
+
+        def spy(points, lo, extent, h):
+            sides.append(h)
+            return cells(points, lo, extent, h)
+
+        with mock.patch.object(geometry, "_cells", spy):
+            nbrs = _knn_indices(pts, 16)
+        assert len(sides) == len(set(sides)), sides
+        assert_array_equal(nbrs, _brute_force_knn(pts, 16))
 
 
 def test_knn_candidates_per_point_bounded():

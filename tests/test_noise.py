@@ -170,8 +170,7 @@ def test_inject_outliers_validation():
 def test_corrupt_none_tier_identity():
     pts = unit_sphere_cloud(300, seed=22)
     ann = corrupt_cloud(pts, SENSOR, tier_params("none"), k=16, seed=5)
-    assert_array_equal(ann.corrupted, ann.clean)
-    assert_array_equal(ann.clean, pts)
+    assert_array_equal(ann.corrupted, pts)
     assert not ann.sigma.any()
     assert not ann.mu.any()
     assert not ann.outlier.any()
@@ -193,8 +192,8 @@ def test_corrupt_non_outliers_displaced_along_ray():
     pts = unit_sphere_cloud(400, seed=24)
     ann = corrupt_cloud(pts, SENSOR, tier_params("heavy"), k=16, seed=7)
     keep = ~ann.outlier
-    disp = ann.corrupted[keep] - ann.clean[keep]
-    rays = ann.clean[keep] - np.asarray(SENSOR, dtype=float)
+    disp = ann.corrupted[keep] - pts[keep]
+    rays = pts[keep] - np.asarray(SENSOR, dtype=float)
     cross = np.cross(disp, rays)
     assert np.all(np.linalg.norm(cross, axis=1) <= 1e-9)
 
@@ -261,9 +260,9 @@ def test_corrupt_gaussian_sample_statistics():
     pts = unit_sphere_cloud(4000, seed=29)
     params = NoiseParams(a=0.01, b=0.0, c=0.0, k=0.0, p_out=0.0)
     ann = corrupt_cloud(pts, SENSOR, params, k=16, seed=13)
-    unit = (ann.clean - np.asarray(SENSOR, dtype=float))
+    unit = (pts - np.asarray(SENSOR, dtype=float))
     unit /= np.linalg.norm(unit, axis=1)[:, None]
-    signed = np.sum((ann.corrupted - ann.clean) * unit, axis=1)
+    signed = np.sum((ann.corrupted - pts) * unit, axis=1)
     z = signed / 0.01
     assert z.std() == pytest.approx(1.0, rel=0.05)
     assert abs(z.mean()) < 5.0 / np.sqrt(len(z))

@@ -189,8 +189,8 @@ def test_cloud_roundtrip_with_comments(tmp_path_factory, data):
     pts = data.draw(arrays(np.float64, (n, 3), elements=floats))
     sigma, mu = (data.draw(arrays(np.float64, n, elements=floats)) for _ in range(2))
     outlier = data.draw(arrays(np.bool_, n))
-    ann = AnnotatedCloud(clean=pts, corrupted=pts, sigma=sigma, mu=mu, r=sigma,
-                         cos_theta=mu, outlier=outlier, degenerate_normal=outlier)
+    ann = AnnotatedCloud(corrupted=pts, sigma=sigma, mu=mu, r=sigma, cos_theta=mu,
+                         outlier=outlier, degenerate_normal=outlier)
     tmp = tmp_path_factory.mktemp("cloud")
     write_cloud(tmp / "cloud.xyz", pts)
     write_annotated(tmp / "cloud.xyzn", ann)
