@@ -4,6 +4,7 @@ raise ParseError at a file line, atomic writers and round-trip float formatting.
 import csv
 import os
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -120,21 +121,34 @@ def csv_rows(path, what, header_ok):
     is false, and at a row's line when its column count differs from the
     header's or csv rejects it (say, a field over csv's size limit). That
     line is where the record starts, even after a quoted field spanning
-    lines; a bad byte is reported at its own line.
+    lines; a bad byte is reported at its own line. A line with no '"' or NUL
+    and no longer than csv.field_size_limit() is one whole record, split at
+    "," as csv.reader would split it; any other line starts a record that
+    csv.reader reads from that line on.
     """
-    reader = csv.reader(line for _, line in _lines(path))
-    start = 1
-    try:
-        header = next(reader, None)
-        if header is None or not header_ok(header):
-            raise ParseError(f"bad {what} header {header!r}", path=path, line=1)
-        start = reader.line_num + 1
-        for row in reader:
-            if row:
-                if len(row) != len(header):
-                    raise ParseError(f"expected {len(header)} columns, got {len(row)}",
-                                     path=path, line=start)
-                yield start, row
-            start = reader.line_num + 1
-    except csv.Error as exc:
-        raise ParseError(f"malformed CSV ({exc})", path=path, line=start) from None
+    records = _records(path)
+    _, header = next(records, (1, None))
+    if header is None or not header_ok(header):
+        raise ParseError(f"bad {what} header {header!r}", path=path, line=1)
+    for lineno, row in records:
+        if row:
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} columns, got {len(row)}",
+                                 path=path, line=lineno)
+            yield lineno, row
+
+
+def _records(path):
+    """Yield (start line, row) of every CSV record of _lines(path); see csv_rows."""
+    lines, limit = _lines(path), csv.field_size_limit()
+    for lineno, line in lines:
+        # csv before Python 3.11 rejects a NUL; a quote may open a field
+        # that spans lines
+        if '"' in line or "\0" in line or len(line) > limit:
+            try:
+                row = next(csv.reader(chain([line], (rest for _, rest in lines))))
+            except csv.Error as exc:
+                raise ParseError(f"malformed CSV ({exc})", path=path, line=lineno) from None
+        else:  # a line starting with its ending is blank: []
+            row = line.rstrip("\r\n").split(",") if line[0] not in "\r\n" else []
+        yield lineno, row

@@ -134,7 +134,7 @@ def _knn_indices(pts, k):
     rel = side / (side[0] or 1.0)
     h = side[0] * max((np.prod(rel[:d]) * k / n) ** (1.0 / d) for d in (1, 2, 3)) or 1.0
     for step in range(17):
-        grid = ncell, _, _, key = _cells(pts, lo, extent, h)
+        grid = ncell, _, key = _cells(pts, lo, extent, h)
         occ = np.bincount(key, minlength=np.prod(ncell)).reshape(ncell)
         block = np.pad(occ, 1)
         for ax in range(3):
@@ -162,17 +162,16 @@ def _spans(starts, counts):
 
 
 def _cells(pts, lo, extent, h):
-    """Grid shape, cell-unit coordinates, cell and flat cell key of each point."""
+    """Grid shape, cell and flat cell key of each point."""
     ncell = np.floor(extent / h).astype(np.int64) + 1
-    t = (pts - lo) / h
-    cell = np.minimum(np.floor(t).astype(np.int64), ncell - 1)
-    return ncell, t, cell, (cell[:, 0] * ncell[1] + cell[:, 1]) * ncell[2] + cell[:, 2]
+    cell = np.minimum(np.floor((pts - lo) / h).astype(np.int64), ncell - 1)
+    return ncell, cell, (cell[:, 0] * ncell[1] + cell[:, 1]) * ncell[2] + cell[:, 2]
 
 
 def _grid_pass(xyzs, k, rows, out, h, grid, slack):
     """One search of `rows` on a _cells grid of side h; returns the rejected rows."""
     n = xyzs.shape[1] - 1
-    ncell, t, cell, key = grid
+    ncell, cell, key = grid
     order = np.argsort(key, kind="stable")
     # order[start[c]:start[c + 1]] are cell c's points. The first pass's
     # grid is the hull's, at most about 8 n / k cells, or a shrunk one of
@@ -181,11 +180,14 @@ def _grid_pass(xyzs, k, rows, out, h, grid, slack):
     start = np.searchsorted(key[order], np.arange(np.prod(ncell) + 1))
 
     # squared distance from each point to the outside of its block, less
-    # the slack; a side whose next cell is off the grid is infinitely far
+    # the slack; a side whose next cell is off the grid is infinitely far.
+    # t, the cell-unit coordinates _cells bucketed, is computed again here,
+    # so no grid holds it through the search
+    t = (xyzs[:3, :n].T - xyzs[:3, :n].min(axis=1)) / h
     below = np.where(cell - 1 > 0, t - (cell - 1), np.inf)
     above = np.where(cell + 1 < ncell - 1, (cell + 2) - t, np.inf)
     bound = (np.minimum(below, above).min(axis=1) * h) ** 2 - slack
-    del grid, t, below, above  # (n, 3) scratch, not held through the search
+    del t, below, above  # (n, 3) scratch, not held through the search
 
     # every occupied query cell's 3x3x3 block at once: each of its 9 (x, y)
     # columns is a run of consecutive cells, so its points are order[s0:s0 +

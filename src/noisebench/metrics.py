@@ -289,24 +289,26 @@ def read_predictions(path):
 
     A row that fails Predictions validation is reported at its file line.
     """
-    rows = []
+    lines, ids, labels, flat = [], [], [], []
     for lineno, row in csv_rows(path, "predictions", lambda header: (
             len(header) >= 4 and header[:2] == ["sample_id", "true_label"]
             and header[2:] == [f"p_{i}" for i in range(len(header) - 2)])):
         try:
-            rows.append((lineno, row[0], np.int64(int(row[1])),
-                         [float(p) for p in row[2:]]))
+            labels.append(int(row[1]))
+            if not -2**63 <= labels[-1] < 2**63:
+                # out of range for any class count; Predictions holds the range rule
+                raise ParseError(f"true_label {row[1]} does not fit in 64 bits",
+                                 path=path, line=lineno)
+            flat.extend(map(float, row[2:]))
         except ValueError as exc:
             raise ParseError(str(exc), path=path, line=lineno) from None
-        except OverflowError:
-            # out of range for any class count; Predictions holds the range rule
-            raise ParseError(f"true_label {row[1]} does not fit in 64 bits",
-                             path=path, line=lineno) from None
-    if not rows:
+        lines.append(lineno)
+        ids.append(row[0])
+    if not lines:
         raise EmptyInput(f"{path}: no prediction rows")
-    lines, ids, labels, probs = zip(*rows)
     try:
-        return Predictions(ids, labels, probs)
+        return Predictions(ids, np.array(labels, dtype=np.int64),
+                           np.array(flat).reshape(len(lines), -1))
     except ValueError as exc:
         row = getattr(exc, "row", None)
         raise ParseError(str(exc), path=path,

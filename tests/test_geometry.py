@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -347,6 +348,30 @@ def test_knn_buckets_each_side_once():
             nbrs = _knn_indices(pts, 16)
         assert len(sides) == len(set(sides)), sides
         assert_array_equal(nbrs, _brute_force_knn(pts, 16))
+
+
+def test_knn_frees_grid_coordinates_before_search():
+    # no (n, 3) float array from bucketing is alive while the first search
+    # scores candidates, so the kNN's peak holds no grid coordinates
+    cells, nearest_in = geometry._cells, geometry._nearest_in
+    for pts in (unit_sphere_cloud(8192, seed=15), _grid_plane(128, 64)):
+        returned, alive = [], []
+
+        def spy_cells(points, lo, extent, h):
+            grid = cells(points, lo, extent, h)
+            returned.extend(weakref.ref(a) for a in grid if a.shape == (len(pts), 3)
+                            and a.dtype.kind == "f")
+            return grid
+
+        def spy_nearest(*args):
+            if not alive:
+                alive.append(sum(ref() is not None for ref in returned))
+            return nearest_in(*args)
+
+        with mock.patch.object(geometry, "_cells", spy_cells), \
+                mock.patch.object(geometry, "_nearest_in", spy_nearest):
+            _knn_indices(pts, 16)
+        assert alive == [0]
 
 
 def test_knn_candidates_per_point_bounded():

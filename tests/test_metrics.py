@@ -426,6 +426,18 @@ def test_read_predictions_errors(tmp_path):
         read_predictions(empty)
 
 
+def test_read_predictions_reports_first_bad_line(tmp_path):
+    # whichever kind of error a row has, the first bad line in the file is
+    # the one reported
+    path = tmp_path / "p.csv"
+    huge, bad_float = "b,99999999999999999999,0.5,0.5\n", "b,0,0.5,half\n"
+    for rows, match in (((huge, bad_float), "true_label"), ((bad_float, huge), "half")):
+        path.write_text("sample_id,true_label,p_0,p_1\n" + "".join(rows))
+        with pytest.raises(ParseError, match=match) as info:
+            read_predictions(path)
+        assert info.value.line == 2
+
+
 def test_read_sigma_summary(tmp_path):
     path = tmp_path / "summary.csv"
     path.write_text(

@@ -30,9 +30,10 @@ from noisebench import (DEFAULT_NORMAL_K, AnnotatedCloud, DegenerateRay, EmptyCl
                         NoiseBenchError, NoiseParams, ParseError, TIER_NAMES, TierConfig,
                         TooFewValues, UnknownTier, ZeroVariance, corrupt_cloud,
                         generate_benchmark, preset_config, read_annotated, read_cloud,
-                        read_manifest, read_predictions, read_tier_config, sample_seed,
-                        tier_params, write_annotated, write_cloud)
-from noisebench import pipeline
+                        read_manifest, read_predictions, read_sigma_summary,
+                        read_tier_config, sample_seed, tier_params, write_annotated,
+                        write_cloud)
+from noisebench import _fileio, pipeline
 from noisebench.cli import main
 
 
@@ -141,7 +142,7 @@ def test_read_cloud_errors(tmp_path):
             assert (info.value.path, info.value.line) == (latin1, line)
 
 
-@pytest.mark.parametrize("kind", ["cloud", "predictions"])
+@pytest.mark.parametrize("kind", ["cloud", "predictions", "summary"])
 def test_readers_stream_their_input(tmp_path, kind):
     # a reader holds the parsed values, not copies of the file's text; sizes
     # are the benchmark's scan cloud and ModelNet40's 2,468-row test split
@@ -149,6 +150,14 @@ def test_readers_stream_their_input(tmp_path, kind):
     if kind == "cloud":
         write_cloud(path, unit_sphere_cloud(8192, seed=7))
         reader = read_cloud
+    elif kind == "summary":
+        rng = np.random.default_rng(7)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(_fileio.SUMMARY_HEADER)
+            writer.writerows([f"s{i:04d}", i % 40, repr(sigma), repr(sigma / 7), i % 5]
+                             for i, sigma in enumerate(rng.uniform(0.0, 0.02, 2468).tolist()))
+        reader = read_sigma_summary
     else:
         probs = np.random.default_rng(7).dirichlet(np.ones(40), size=2468)
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -332,6 +341,79 @@ def test_manifest_roundtrip_unicode(tmp_path_factory, data):
     manifest = read_manifest(path)
     assert [(e.sample_id, e.label, e.path) for e in manifest.entries] == \
         list(zip(ids, labels, paths))
+
+
+def _csv_rows_reference(path, what, header_ok):
+    """csv_rows as one csv.reader over every line of _lines(path)."""
+    reader = csv.reader(line for _, line in _fileio._lines(path))
+    start = 1
+    try:
+        header = next(reader, None)
+        if header is None or not header_ok(header):
+            raise ParseError(f"bad {what} header {header!r}", path=path, line=1)
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} columns, got {len(row)}",
+                                     path=path, line=start)
+                yield start, row
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV ({exc})", path=path, line=start) from None
+
+
+def _csv_outcome(rows, path):
+    """The (line, row) pairs `rows` yields for `path`, then its ParseError's
+    line and message, if any."""
+    out = []
+    try:
+        out.extend(rows(path, "test", lambda header: header != ["reject"]))
+    except ParseError as exc:
+        out.append((exc.line, str(exc)))
+    return out
+
+
+_CSV_FIELD = st.text(st.sampled_from('a1 ,"\n\r\0\xe9'), max_size=6)
+_CSV_END = st.sampled_from(["\n", "\r\n", "\r"])
+_CSV_RAW = st.sampled_from(['a"b', '"a"b', '"open', 'x,"y', '""', '"', 'reject', 'a,,b'])
+
+
+@st.composite
+def _csv_text(draw):
+    # records of a fixed width, some quoted, some raw and so malformed or of
+    # another width, blank lines, and mixed line endings
+    width = draw(st.integers(1, 3))
+    parts = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["record", "record", "blank", "raw"]))
+        if kind == "record":
+            fields = draw(st.lists(_CSV_FIELD, min_size=width, max_size=width))
+            parts.append(",".join('"' + f.replace('"', '""') + '"' if draw(st.booleans())
+                                  else f for f in fields))
+        elif kind == "raw":
+            parts.append(draw(_CSV_RAW))
+        parts.append(draw(_CSV_END))
+    if parts and draw(st.booleans()):
+        parts.pop()  # no ending on the last line
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("limit", [None, 4])
+@settings(max_examples=300, deadline=None)
+@given(text=_csv_text())
+def test_csv_rows_matches_csv_reader(tmp_path_factory, limit, text):
+    # split lines and csv.reader records agree on rows, start lines and
+    # errors, also where csv's field size limit is below a line's length
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    old = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        assert _csv_outcome(_fileio.csv_rows, path) == _csv_outcome(_csv_rows_reference, path)
+    finally:
+        csv.field_size_limit(old)
 
 
 def test_tier_config_file(tmp_path):
