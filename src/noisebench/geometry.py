@@ -112,7 +112,6 @@ def _knn_indices(pts, k):
     # |p|^2 = +inf, so its d^2 to any point is +inf
     x, y, z = pts.T
     xyzs = np.append([x, y, z, x * x + y * y + z * z], [[0.0], [0.0], [0.0], [np.inf]], axis=1)
-    pts = xyzs[:3, :n].T  # every grid buckets this column-major view
     lo = pts.min(axis=0)
     extent = pts.max(axis=0) - lo
     # error bound for a computed d^2 (under 20 eps max|p|^2) plus that of
@@ -128,31 +127,28 @@ def _knn_indices(pts, k):
     # and a separable box sum, exceeds 6 k, unless the grid would pass n
     # cells or not grow (as at zero extent), for at most 16 steps; so all
     # scratch is O(n). At 4 k, a filled ball's blocks get too thin and many
-    # of its points need a retry. Each side is bucketed once: the last grid
-    # measured is the first one searched
+    # of its points need a retry
     side = np.sort(extent)[::-1]
     rel = side / (side[0] or 1.0)
     h = side[0] * max((np.prod(rel[:d]) * k / n) ** (1.0 / d) for d in (1, 2, 3)) or 1.0
-    for step in range(17):
-        grid = ncell, _, key = _cells(pts, lo, extent, h)
+    for _ in range(16):
+        ncell, cell, key = _cells(pts, lo, extent, h)[:3]
         occ = np.bincount(key, minlength=np.prod(ncell)).reshape(ncell)
         block = np.pad(occ, 1)
         for ax in range(3):
             b = block.swapaxes(0, ax)
             block = (b[:-2] + b[1:-1] + b[2:]).swapaxes(0, ax)
         nxt = np.floor(extent / (0.8 * h)) + 1
-        if (step == 16 or (occ * block).sum() <= 6 * k * n or nxt.prod() > n
-                or (nxt == ncell).all()):
+        if (occ * block).sum() <= 6 * k * n or nxt.prod() > n or (nxt == ncell).all():
             break
         h *= 0.8
-    del occ, block, b, ncell, _, key  # sizing scratch, not held through the search
+    del cell, key, occ, block, b  # sizing scratch, not held through the search
 
     out = np.empty((n, k), dtype=np.intp)
-    todo = _grid_pass(xyzs, k, np.arange(n), out, h, grid, slack)
-    del grid  # nor is the first grid held through the retries
+    todo = np.arange(n)
     while todo.size:
+        todo = _grid_pass(xyzs, k, todo, out, lo, extent, h, slack)
         h *= 2.0
-        todo = _grid_pass(xyzs, k, todo, out, h, _cells(pts, lo, extent, h), slack)
     return out
 
 
@@ -162,32 +158,30 @@ def _spans(starts, counts):
 
 
 def _cells(pts, lo, extent, h):
-    """Grid shape, cell and flat cell key of each point."""
+    """Grid shape, cell, flat cell key and cell-unit coordinates of each point."""
     ncell = np.floor(extent / h).astype(np.int64) + 1
-    cell = np.minimum(np.floor((pts - lo) / h).astype(np.int64), ncell - 1)
-    return ncell, cell, (cell[:, 0] * ncell[1] + cell[:, 1]) * ncell[2] + cell[:, 2]
+    t = (pts - lo) / h
+    cell = np.minimum(np.floor(t).astype(np.int64), ncell - 1)
+    return ncell, cell, (cell[:, 0] * ncell[1] + cell[:, 1]) * ncell[2] + cell[:, 2], t
 
 
-def _grid_pass(xyzs, k, rows, out, h, grid, slack):
-    """One search of `rows` on a _cells grid of side h; returns the rejected rows."""
+def _grid_pass(xyzs, k, rows, out, lo, extent, h, slack):
+    """One search of `rows` on a grid of side h; returns the rejected rows."""
     n = xyzs.shape[1] - 1
-    ncell, cell, key = grid
+    ncell, cell, key, t = _cells(xyzs[:3, :n].T, lo, extent, h)
+    # squared distance from each point to the outside of its block, less
+    # the slack; a side whose next cell is off the grid is infinitely far
+    below = np.where(cell - 1 > 0, t - (cell - 1), np.inf)
+    above = np.where(cell + 1 < ncell - 1, (cell + 2) - t, np.inf)
+    bound = (np.minimum(below, above).min(axis=1) * h) ** 2 - slack
+    del t, below, above  # (n, 3) scratch, not held through the search
+
     order = np.argsort(key, kind="stable")
     # order[start[c]:start[c + 1]] are cell c's points. The first pass's
     # grid is the hull's, at most about 8 n / k cells, or a shrunk one of
     # at most n; either way the table stays O(n) (doubling h on a retry
     # only shrinks it)
     start = np.searchsorted(key[order], np.arange(np.prod(ncell) + 1))
-
-    # squared distance from each point to the outside of its block, less
-    # the slack; a side whose next cell is off the grid is infinitely far.
-    # t, the cell-unit coordinates _cells bucketed, is computed again here,
-    # so no grid holds it through the search
-    t = (xyzs[:3, :n].T - xyzs[:3, :n].min(axis=1)) / h
-    below = np.where(cell - 1 > 0, t - (cell - 1), np.inf)
-    above = np.where(cell + 1 < ncell - 1, (cell + 2) - t, np.inf)
-    bound = (np.minimum(below, above).min(axis=1) * h) ** 2 - slack
-    del t, below, above  # (n, 3) scratch, not held through the search
 
     # every occupied query cell's 3x3x3 block at once: each of its 9 (x, y)
     # columns is a run of consecutive cells, so its points are order[s0:s0 +

@@ -24,7 +24,7 @@ import os
 import struct
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -85,8 +85,7 @@ class TierConfig:
         _check_seed(self.global_seed, "global seed")
         if self.normal_k < 3:
             raise ValueError(f"normal_k must be >= 3, got {self.normal_k}")
-        zero = NoiseParams(0.0, 0.0, 0.0, 0.0, 0.0)
-        if self.name == "none" and self.params != zero:
+        if self.name == "none" and self.params != _PRESETS["none"]:
             raise ValueError("tier 'none' must carry all-zero noise parameters")
 
 
@@ -224,15 +223,11 @@ def read_tier_config(path):
         except ValueError:
             raise ParseError(f"bad value for {key}: {val!r}", path=path,
                              line=lineno) from None
-    sensor = (values.get("sensor_x", DEFAULT_SENSOR[0]),
-              values.get("sensor_y", DEFAULT_SENSOR[1]),
-              values.get("sensor_z", DEFAULT_SENSOR[2]))
-    try:
-        params = NoiseParams(**{key: values.get(key, 0.0)
-                                for key in ("a", "b", "c", "k", "p_out")})
-        return TierConfig(name="custom", params=params, sensor=sensor,
-                          normal_k=values.get("normal_k", DEFAULT_NORMAL_K),
-                          global_seed=values.get("global_seed", 0))
+    sensor = tuple(values.pop("sensor_" + ax, v) for ax, v in zip("xyz", DEFAULT_SENSOR))
+    noise = {key: values.pop(key) for key in ("a", "b", "c", "k", "p_out") if key in values}
+    try:  # normal_k and global_seed are left in values
+        return TierConfig(name="custom", params=replace(_PRESETS["none"], **noise),
+                          sensor=sensor, **values)
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from None
 
@@ -333,7 +328,7 @@ def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False
             ProcessPoolExecutor(max_workers=min(threads, max(len(entries), 1)),
                                 mp_context=multiprocessing.get_context(_start_method()),
                                 initializer=_init_worker) as pool:
-        tier_dir = Path(work) / config.name
+        tier_dir = Path(work) / "new"  # fixed names, so any tier name can rerun
         tier_dir.mkdir()  # 0777 less the umask, unlike the 0700 staging root
         futures = [pool.submit(_corrupt_one, entry, config, scale, tier_dir,
                                manifest.base_dir) for entry in entries]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from conftest import tree_digest, unit_sphere_cloud, write_benchmark_manifest
+from conftest import ece_oracle, tree_digest, unit_sphere_cloud, write_benchmark_manifest
 from noisebench import (Predictions, ZeroVariance, bias_mu, corrupt_cloud,
                         ece, estimate_normals, evaluate, inject_outliers,
                         bounding_box, pearson, perturb_points, point_sigma,
@@ -109,28 +109,6 @@ def test_c06_corrupt_determinism_across_workers(tmp_path):
     assert time.monotonic() - start < 30.0
 
 
-def _ece_oracle(rows, bins):
-    """Independent direct-summation ECE: interval tests and plain sums.
-
-    rows are (true_label, probs); confidence is the row max and the
-    prediction its first argmax.
-    """
-    scored = [(max(probs), list(probs).index(max(probs)) == label)
-              for label, probs in rows]
-    n = len(scored)
-    total = 0.0
-    for i in range(bins):
-        lo, hi = i / bins, (i + 1) / bins
-        members = [(c, ok) for c, ok in scored
-                   if (lo < c <= hi) or (i == 0 and c <= hi)]
-        if not members:
-            continue
-        conf = sum(c for c, _ in members) / len(members)
-        acc = sum(1.0 for _, ok in members if ok) / len(members)
-        total += len(members) / n * abs(acc - conf)
-    return total
-
-
 def test_c07_ece_oracle_equivalence():
     start = time.monotonic()
     rng = np.random.default_rng(205)
@@ -142,7 +120,7 @@ def test_c07_ece_oracle_equivalence():
                 for _ in range(n)]
         labels, probs = zip(*rows)
         records = Predictions([f"t{trial}_{i}" for i in range(n)], labels, probs)
-        assert abs(ece(records, bins=bins) - _ece_oracle(rows, bins)) <= 1e-12
+        assert abs(ece(records, bins=bins) - ece_oracle(rows, bins)) <= 1e-12
     assert time.monotonic() - start < 5.0
 
 

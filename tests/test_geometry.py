@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import unit_sphere_cloud
+from conftest import brute_force_knn, unit_sphere_cloud
 from noisebench import (DegenerateRay, InsufficientPoints, estimate_normals,
                         incidence_cosine, perturb_points, range_to_sensor)
 from noisebench import geometry
@@ -121,33 +121,6 @@ def test_knn_excludes_self_not_duplicates():
     assert nbrs[1, 0] == 0
 
 
-def _brute_force_knn(pts, k):
-    """Exhaustive search, kept as the reference.
-
-    Full distance rows and k rounds of argmin, each pick then set to +inf:
-    argmin returns the first minimum, so exact ties go to the lower index
-    with no sort (the grid search selects, then sorts stably). d^2 is the
-    same per-pair expansion as the grid search's, not a.b from BLAS, whose
-    rounding depends on the call's shape.
-    """
-    n = len(pts)
-    x, y, z = pts.T
-    sq = x * x + y * y + z * z
-    out = np.empty((n, k), dtype=np.intp)
-    for start in range(0, n, 512):
-        stop = min(start + 512, n)
-        dot = (x[start:stop, None] * x + y[start:stop, None] * y
-               + z[start:stop, None] * z)
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * dot
-        np.maximum(d2, 0.0, out=d2)
-        rows = np.arange(stop - start)
-        d2[rows, np.arange(start, stop)] = np.inf
-        for j in range(k):
-            out[start:stop, j] = pick = d2.argmin(axis=1)
-            d2[rows, pick] = np.inf
-    return out
-
-
 @st.composite
 def knn_cases(draw):
     """(cloud, k) pairs from the shapes that stress the grid search."""
@@ -205,7 +178,7 @@ def _rotation(rng):
 @given(knn_cases())
 def test_knn_matches_brute_force(case):
     pts, k = case
-    assert_array_equal(_knn_indices(pts, k), _brute_force_knn(pts, k))
+    assert_array_equal(_knn_indices(pts, k), brute_force_knn(pts, k))
 
 
 @settings(max_examples=200, deadline=None)
@@ -215,7 +188,7 @@ def test_knn_matches_brute_force_any_block_size(case, block):
     # blocks; the result must not depend on where those splits fall
     pts, k = case
     with mock.patch.object(geometry, "_KNN_BLOCK", block):
-        assert_array_equal(_knn_indices(pts, k), _brute_force_knn(pts, k))
+        assert_array_equal(_knn_indices(pts, k), brute_force_knn(pts, k))
 
 
 def _grid_plane(nx, nz):
@@ -306,7 +279,7 @@ def test_knn_matches_brute_force_large_clouds():
     line = _jittered_line(rng, 4000)
     for pts in (unit_sphere_cloud(3000, seed=11) + 1e3, cluster, _tilted_plane(60, 50), far,
                 line, unit_sphere_cloud(16384, seed=18), _torus(rng, 8192)):
-        assert_array_equal(_knn_indices(pts, 16), _brute_force_knn(pts, 16))
+        assert_array_equal(_knn_indices(pts, 16), brute_force_knn(pts, 16))
 
 
 def test_knn_sizing_ends_on_coincident_points(tmp_path):
@@ -324,30 +297,45 @@ def test_knn_sizing_ends_on_coincident_points(tmp_path):
     subprocess.run([sys.executable, "-c", code, *map(str, outs)], env=env, check=True,
                    timeout=60)
     pts = np.tile([1.0, -2.0, 3.0], (2000, 1))
-    assert_array_equal(np.load(outs[0]), _brute_force_knn(pts, 16))
+    assert_array_equal(np.load(outs[0]), brute_force_knn(pts, 16))
     pts = np.vstack([pts, [[1.5, -2.0, 3.0]]])
-    assert_array_equal(np.load(outs[1]), _brute_force_knn(pts, 16))
+    assert_array_equal(np.load(outs[1]), brute_force_knn(pts, 16))
 
 
 def test_knn_buckets_each_side_once():
-    # the last grid the cell sizing measures is the one the first pass
-    # searches, and each retry buckets only its own doubled side
-    cells = geometry._cells
+    # the sizing buckets each side it measures once, the first pass
+    # searches the side the sizing ended on, and each pass buckets only its
+    # own side, doubled from the last pass's
+    cells, grid_pass = geometry._cells, geometry._grid_pass
     rng = np.random.default_rng(20)
+    # a dense cluster with few far points: its blocks hold about the whole
+    # cloud, and the far points need retries at doubled sides
     cluster = np.vstack([rng.normal(0.0, 1e-3, (4088, 3)),
                          rng.normal(0.0, 10.0, (8, 3))])
     for pts in (unit_sphere_cloud(1024, seed=16), unit_sphere_cloud(8192, seed=15),
                 _grid_plane(128, 64), cluster, np.tile([1.0, -2.0, 3.0], (2000, 1))):
-        sides = []
+        calls = []
 
-        def spy(points, lo, extent, h):
-            sides.append(h)
+        def spy_cells(points, lo, extent, h):
+            calls.append(("cells", h))
             return cells(points, lo, extent, h)
 
-        with mock.patch.object(geometry, "_cells", spy):
+        def spy_pass(xyzs, k, rows, out, lo, extent, h, slack):
+            calls.append(("pass", h))
+            return grid_pass(xyzs, k, rows, out, lo, extent, h, slack)
+
+        with mock.patch.object(geometry, "_cells", spy_cells), \
+                mock.patch.object(geometry, "_grid_pass", spy_pass):
             nbrs = _knn_indices(pts, 16)
-        assert len(sides) == len(set(sides)), sides
-        assert_array_equal(nbrs, _brute_force_knn(pts, 16))
+        first = next(i for i, (what, _) in enumerate(calls) if what == "pass")
+        sizing, passes = [h for _, h in calls[:first]], calls[first:]
+        assert sizing and len(sizing) == len(set(sizing)), calls
+        assert passes[0::2] == [("pass", h) for _, h in passes[1::2]], calls
+        assert passes[1::2] == [("cells", h) for _, h in passes[0::2]], calls
+        sides = [h for _, h in passes[0::2]]
+        assert sides[0] == sizing[-1], calls
+        assert sides[1:] == [2.0 * h for h in sides[:-1]], calls
+        assert_array_equal(nbrs, brute_force_knn(pts, 16))
 
 
 def test_knn_frees_grid_coordinates_before_search():
@@ -545,7 +533,7 @@ def test_normals_huge_coordinates(scale):
     pts = unit_sphere_cloud(48, seed=14)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert_array_equal(_knn_indices(pts * scale, 16), _brute_force_knn(pts * scale, 16))
+        assert_array_equal(_knn_indices(pts * scale, 16), brute_force_knn(pts * scale, 16))
         est = estimate_normals(pts * scale, 16, sensor=(0.0, -2.0, 0.0))
     ref = estimate_normals(pts, 16, sensor=(0.0, -2.0, 0.0))
     assert_allclose(np.abs(np.sum(est.vectors * ref.vectors, axis=1)), 1.0, atol=1e-9)

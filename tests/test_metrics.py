@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from conftest import ece_oracle
 from noisebench import (EmptyInput, MissingSigma, ParseError, Predictions,
                         TooFewValues, ZeroVariance, accuracy, ece, evaluate,
                         pearson, quartile_bins, read_predictions,
@@ -123,28 +124,6 @@ def test_reliability_curve_structure():
     assert ece(records, bins=10) == ece_from_curve(curve, 200)
 
 
-def _ece_oracle(rows, bins):
-    """Direct-summation oracle: explicit interval tests, plain Python sums.
-
-    rows are (sample_id, true_label, probs); confidence is the row max and
-    the prediction its first argmax.
-    """
-    scored = [(max(probs), list(probs).index(max(probs)) == label)
-              for _, label, probs in rows]
-    n = len(scored)
-    total = 0.0
-    for i in range(bins):
-        lo, hi = i / bins, (i + 1) / bins
-        members = [(c, ok) for c, ok in scored
-                   if (lo < c <= hi) or (i == 0 and c <= hi)]
-        if not members:
-            continue
-        conf = sum(c for c, _ in members) / len(members)
-        acc = sum(1.0 for _, ok in members if ok) / len(members)
-        total += len(members) / n * abs(acc - conf)
-    return total
-
-
 def test_ece_matches_oracle_on_random_sets():
     rng = np.random.default_rng(71)
     for trial in range(200):
@@ -154,7 +133,7 @@ def test_ece_matches_oracle_on_random_sets():
         records = [(f"t{trial}_{i}", int(rng.integers(classes)),
                     rng.dirichlet([1.0] * classes)) for i in range(n)]
         assert ece(preds(records), bins=bins) == pytest.approx(
-            _ece_oracle(records, bins), abs=1e-12)
+            ece_oracle([(label, probs) for _, label, probs in records], bins), abs=1e-12)
 
 
 def test_pearson_closed_form():

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import unit_sphere_cloud
-from noisebench import (DegenerateRay, InsufficientPoints, NoiseParams,
+from conftest import brute_force_knn, unit_sphere_cloud
+from noisebench import (TIER_NAMES, DegenerateRay, InsufficientPoints, NoiseParams,
                         angle_factor, bias_mu, bounding_box, corrupt_cloud,
                         inject_outliers, perturb_points, point_sigma,
                         range_to_sensor, sigma_range, tier_params)
@@ -209,6 +211,76 @@ def test_corrupt_outliers_inside_clean_bbox():
     # identical to what the clean cloud yields
     assert_array_equal(ann.sigma[ann.outlier],
                        point_sigma(ann.r, ann.cos_theta, tier_params("heavy"))[ann.outlier])
+
+
+@st.composite
+def corrupt_cases(draw):
+    """(cloud, sensor, params, k, seed): small spheres, exact-tie grid planes
+    and clusters with duplicates, a sensor off the points, preset or random
+    noise parameters."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(3, 24))
+    n = draw(st.integers(k + 1, 256))
+    kind = draw(st.sampled_from(["sphere", "plane", "cluster"]))
+    if kind == "sphere":
+        pts = unit_sphere_cloud(n, rng.integers(2**32)) * 10.0 ** rng.uniform(-1.0, 1.0)
+    elif kind == "plane":  # dyadic lattice points: every d^2 exact, many ties
+        cols = [rng.integers(-8, 9, n), np.zeros(n), rng.integers(-8, 9, n)]
+        pts = np.column_stack([cols[i] for i in rng.permutation(3)]) * 2.0 ** -4
+    else:
+        m = rng.integers(1, 4)
+        which = rng.integers(0, m, n)
+        pts = rng.uniform(-2.0, 2.0, (m, 3))[which] + rng.normal(0.0, 0.1, (n, 3))
+        dup = rng.random(n) < 0.25
+        pts[dup] = pts[rng.integers(0, n, dup.sum())]
+    pts = pts + rng.uniform(-5.0, 5.0, 3)
+    sensor = pts.mean(axis=0) + rng.uniform(-3.0, 3.0, 3) * np.ptp(pts, axis=0).max()
+    assume(np.linalg.norm(pts - sensor, axis=1).min() > 1e-6)
+    params = draw(st.one_of(
+        st.sampled_from(TIER_NAMES).map(tier_params),
+        st.builds(NoiseParams, a=st.floats(0.0, 0.1), b=st.floats(0.0, 0.1),
+                  c=st.floats(0.0, 4.0), k=st.floats(0.0, 0.1), p_out=st.floats(0.0, 1.0))))
+    return pts, sensor, params, k, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(corrupt_cases())
+def test_corrupt_matches_independent_oracle(case):
+    # every stage of corrupt_cloud recomputed from its definition: normals
+    # from brute-force neighbours and eigh, sigma and mu from the formulas,
+    # draws from the Philox keys (purpose << 64) | seed, with the purposes
+    # written out so that swapped stream tags fail here
+    pts, sensor, params, k, seed = case
+    ann = corrupt_cloud(pts, sensor, params, k=k, seed=seed)
+    n = len(pts)
+    nbhd = pts[brute_force_knn(pts, k)]
+    centered = nbhd - nbhd.mean(axis=1, keepdims=True)
+    evals, evecs = np.linalg.eigh(np.einsum("nki,nkj->nij", centered, centered) / k)
+    gap, top = evals[:, 1] - evals[:, 0], np.maximum(evals[:, 2], 0.0)
+    rays = pts - sensor
+    r = np.linalg.norm(rays, axis=1)
+    u = rays / r[:, None]
+    # a degenerate neighbourhood's normal is the ray to the sensor: cos = 1
+    cos = np.where(gap <= 1e-9 * top, 1.0,
+                   np.minimum(np.abs(np.sum(evecs[:, :, 0] * u, axis=1)), 1.0))
+    # compared where rounding cannot move a point across the degeneracy
+    # rule, and the normal's rounding error (~eps top / gap) is far below 1e-9
+    clear = (gap <= 1e-12 * top) | (gap >= 1e-4 * top)
+    assert_allclose(ann.cos_theta[clear], cos[clear], rtol=0.0, atol=1e-9)
+    sigma = (params.a + params.b * r) * (1.0 + params.c * (1.0 - cos))
+    assert_allclose(ann.sigma[clear], sigma[clear], rtol=1e-9 * params.c + 1e-14, atol=0.0)
+    mu = params.k * (1.0 - cos)
+    assert_allclose(ann.mu[clear], mu[clear], rtol=0.0, atol=2e-9 * params.k)
+
+    z = np.random.Generator(np.random.Philox(key=(1 << 64) | seed)).standard_normal(n)
+    moved = pts + (ann.mu + ann.sigma * z)[:, None] * u
+    draws = np.random.Generator(np.random.Philox(key=(2 << 64) | seed))
+    outlier = draws.random(n) < params.p_out
+    assert_array_equal(ann.outlier, outlier)
+    assert_array_equal(ann.corrupted[~outlier], moved[~outlier])
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    assert_array_equal(ann.corrupted[outlier],
+                       lo + draws.random((outlier.sum(), 3)) * (hi - lo))
 
 
 def test_corrupt_same_seed_reproduces():

@@ -511,6 +511,20 @@ def test_generate_benchmark_repeat_identical(tmp_path):
     assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
 
+def test_generate_benchmark_rerun_any_tier_name(tmp_path):
+    # the staged and the parked tree have fixed names inside the staging
+    # directory, and a tier may be named like either of them
+    manifest = read_manifest(write_benchmark_manifest(tmp_path, 2, 48, seed=66))
+    for name in ("new", "old"):
+        out = tmp_path / name
+        for seed in (1, 2):
+            config = TierConfig(name=name, params=tier_params("light"), global_seed=seed)
+            generate_benchmark(manifest, config, out, threads=1)
+        generate_benchmark(manifest, config, tmp_path / "fresh" / name, threads=1)
+        assert [p.name for p in out.iterdir()] == [name]  # no staging left
+        assert tree_digest(out) == tree_digest(tmp_path / "fresh" / name)
+
+
 def test_generate_benchmark_scale(tmp_path):
     manifest = read_manifest(write_benchmark_manifest(tmp_path, 1, 64, seed=62))
     config = preset_config("moderate", global_seed=5)
