@@ -1,10 +1,15 @@
-"""Internal helpers for the text formats: streaming line-numbered readers that
-raise ParseError at a file line, atomic writers and round-trip float formatting."""
+"""Internal helpers for the text formats: numpy's C parse of numeric text,
+streaming line-numbered readers that raise ParseError at a file line, atomic
+writers and round-trip float formatting. The C parse (c_table) comes first;
+the line-numbered readers alone raise errors, and read every file it refuses.
+Values are identical: every field it takes, float() takes, and both parse it
+with PyOS_string_to_double.
+"""
 
 import csv
 import os
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, dropwhile
 from pathlib import Path
 
 import numpy as np
@@ -72,13 +77,38 @@ def data_lines(path):
             yield lineno, line
 
 
+def c_table(lines, width, delimiter=None):
+    """The (n, width) float64 table numpy's C reader parses from `lines` (an
+    open file, or a list), split at whitespace or `delimiter`, skipping blank
+    lines; None if it refuses them or the table is empty or not all finite,
+    or, with a delimiter, a line holds U+001C..U+001F, which the C reader
+    strips from a field's ends and float() does not."""
+    if delimiter and any("\x1c" in s or "\x1d" in s or "\x1e" in s or "\x1f" in s
+                         for s in lines):
+        return None
+    # a first row of `width` zeros, dropped, holds every row to that width
+    # (loadtxt refuses a changed field count) and keeps it from warning on no data
+    first = (delimiter or " ").join("0" * width)
+    try:
+        table = np.loadtxt(chain([first], lines), np.float64, comments=None,
+                           delimiter=delimiter, encoding="utf-8", ndmin=2)[1:]
+    except ValueError:  # a bad field, a changed field count, or bad UTF-8
+        return None
+    return table if table.size and np.isfinite(table).all() else None
+
+
 def read_table(path, width):
-    """(file lines, (n, width) float64 array) of a whitespace-separated table.
+    """(n, width) float64 array of a whitespace-separated table.
 
     Every data line (see data_lines) must hold `width` fields that float()
     parses to finite values, else ParseError at its line; EmptyCloud when
-    there are no data lines.
+    there are no data lines. Row i is the i-th data line.
     """
+    with open(path, encoding="utf-8") as fh:
+        # leading '#' lines are data_lines' comments, not the C reader's
+        table = c_table(dropwhile(lambda line: line.lstrip().startswith("#"), fh), width)
+    if table is not None:
+        return table
     lines, values = [], []
     for lineno, line in data_lines(path):
         fields = line.split()
@@ -98,7 +128,7 @@ def read_table(path, width):
         i = int(np.argmax(bad))
         raise ParseError(f"non-finite value in {table[i].tolist()!r}",
                          path=path, line=lines[i])
-    return lines, table
+    return table
 
 
 def write_table(path, header, columns):
@@ -138,13 +168,18 @@ def csv_rows(path, what, header_ok):
             yield lineno, row
 
 
+def plain_line(line, limit):
+    """True when csv.reader would read `line` as one record split at every
+    ",": no '"' (a field may span lines), no NUL (rejected before Python
+    3.11), and no longer than csv's field size `limit`."""
+    return '"' not in line and "\0" not in line and len(line) <= limit
+
+
 def _records(path):
     """Yield (start line, row) of every CSV record of _lines(path); see csv_rows."""
     lines, limit = _lines(path), csv.field_size_limit()
     for lineno, line in lines:
-        # csv before Python 3.11 rejects a NUL; a quote may open a field
-        # that spans lines
-        if '"' in line or "\0" in line or len(line) > limit:
+        if not plain_line(line, limit):
             try:
                 row = next(csv.reader(chain([line], (rest for _, rest in lines))))
             except csv.Error as exc:

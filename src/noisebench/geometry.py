@@ -145,10 +145,12 @@ def _knn_indices(pts, k):
     del cell, key, occ, block, b  # sizing scratch, not held through the search
 
     out = np.empty((n, k), dtype=np.intp)
-    todo = np.arange(n)
+    # the first pass's rows are a temporary, so none of its 8 n bytes is
+    # held here through the search
+    todo = _grid_pass(xyzs, k, np.arange(n), out, lo, extent, h, slack)
     while todo.size:
-        todo = _grid_pass(xyzs, k, todo, out, lo, extent, h, slack)
         h *= 2.0
+        todo = _grid_pass(xyzs, k, todo, out, lo, extent, h, slack)
     return out
 
 

@@ -11,6 +11,7 @@ somewhere. Empty bins contribute nothing:
     ECE = sum_i  n_i / N * |acc_i - conf_i|
 """
 
+import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._fileio import SUMMARY_HEADER, atomic_text, csv_rows, fmt, write_csv
+from ._fileio import (SUMMARY_HEADER, atomic_text, c_table, csv_rows, fmt, plain_line,
+                      write_csv)
 from .errors import (EmptyInput, MissingSigma, ParseError, TooFewValues,
                      ZeroVariance)
 
@@ -138,10 +140,11 @@ def pearson(xs, ys):
     """Pearson correlation of two equal-length real vectors.
 
     Two-pass, mean-centered computation; the result is clipped to [-1, 1]
-    to absorb last-ulp rounding. Raises ValueError on a non-finite value,
-    and ZeroVariance when either input is constant: correlation is
-    undefined there, and callers must surface that rather than coerce it to
-    a number.
+    to absorb last-ulp rounding. An input of extreme magnitude is first scaled
+    by a power of two (exact; see _rescaled). Raises ValueError on a
+    non-finite value, and ZeroVariance when either input is constant:
+    correlation is undefined there, and callers must surface that rather
+    than coerce it to a number.
     """
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
@@ -151,6 +154,7 @@ def pearson(xs, ys):
         raise ValueError("need at least 2 values")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("xs and ys must be finite")
+    x, y = _rescaled(x), _rescaled(y)
     xc = x - x.mean()
     yc = y - y.mean()
     sxx = float(xc @ xc)
@@ -159,6 +163,14 @@ def pearson(xs, ys):
         raise ZeroVariance("one of the inputs is constant")
     r = float(xc @ yc) / float(np.sqrt(sxx * syy))
     return min(1.0, max(-1.0, r))
+
+
+def _rescaled(v):
+    """v, or v scaled by the power of two that brings max |v| into [0.5, 1)
+    when it lies outside [2^-151, 2^150), where sums of squares of centred
+    values and their product stay finite and normal."""
+    e = int(np.frexp(np.abs(v).max())[1])
+    return np.ldexp(v, -e) if abs(e) > 150 else v
 
 
 def _sigma_column(preds, sigma_by_id):
@@ -284,15 +296,21 @@ def evaluate(preds, sigma_by_id, bins=DEFAULT_BINS):
                       bin_count=bins)
 
 
+def _predictions_header(header):
+    return (len(header) >= 4 and header[:2] == ["sample_id", "true_label"]
+            and header[2:] == [f"p_{i}" for i in range(len(header) - 2)])
+
+
 def read_predictions(path):
     """Parse a predictions CSV (sample_id,true_label,p_0,...,p_{C-1}).
 
     A row that fails Predictions validation is reported at its file line.
     """
+    preds = _c_predictions(path)
+    if preds is not None:
+        return preds
     lines, ids, labels, flat = [], [], [], []
-    for lineno, row in csv_rows(path, "predictions", lambda header: (
-            len(header) >= 4 and header[:2] == ["sample_id", "true_label"]
-            and header[2:] == [f"p_{i}" for i in range(len(header) - 2)])):
+    for lineno, row in csv_rows(path, "predictions", _predictions_header):
         try:
             labels.append(int(row[1]))
             if not -2**63 <= labels[-1] < 2**63:
@@ -313,6 +331,32 @@ def read_predictions(path):
         row = getattr(exc, "row", None)
         raise ParseError(str(exc), path=path,
                          line=None if row is None else lines[row]) from None
+
+
+def _c_predictions(path):
+    """read_predictions of a file of plain lines (_fileio.plain_line) that it
+    accepts, with numpy's C reader parsing the text after each row's
+    true_label; None for any other file."""
+    limit, ids, labels, tails = csv.field_size_limit(), [], [], []
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            header = next(fh, '"')
+            if not (plain_line(header, limit)
+                    and _predictions_header(header.rstrip("\r\n").split(","))):
+                return None
+            for line in fh:
+                if line[0] in "\r\n":  # a blank line holds no row
+                    continue
+                if not plain_line(line, limit):
+                    return None
+                sid, label, tail = line.split(",", 2)
+                ids.append(sid)
+                labels.append(int(label))
+                tails.append(tail)
+        probs = c_table(tails, header.count(",") - 1, ",")
+        return None if probs is None else Predictions(ids, np.array(labels, np.int64), probs)
+    except (ValueError, OverflowError):  # bad UTF-8, row, label or probabilities
+        return None
 
 
 def read_sigma_summary(path):

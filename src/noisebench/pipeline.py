@@ -3,6 +3,8 @@
 File formats (all UTF-8 text). Readers skip blank lines, and '#' comment
 lines in all but the CSV formats; float fields must be finite; a bad line
 is a ParseError citing its file line (for CSV, where its record starts).
+Point files and probabilities go through numpy's C reader first; the
+line-numbered reader alone raises errors and reads what it refuses (_fileio).
 
   clean cloud     one point per line, "x y z"
   annotated cloud header "# x y z sigma mu outlier", then one point per
@@ -25,6 +27,7 @@ import struct
 import sys
 import tempfile
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -111,7 +114,7 @@ def sample_seed(global_seed, sample_id):
 
 def read_cloud(path):
     """Parse a clean cloud file into an (n, 3) float64 array of finite values."""
-    return read_table(path, 3)[1]
+    return read_table(path, 3)
 
 
 def write_cloud(path, points):
@@ -139,13 +142,14 @@ class AnnotatedColumns(NamedTuple):
 
 def read_annotated(path):
     """Parse an annotated cloud file back into its columns."""
-    lines, table = read_table(path, 6)
+    table = read_table(path, 6)
     flag = table[:, 5]
     bad = (flag != 0.0) & (flag != 1.0)
     if bad.any():
         i = int(np.argmax(bad))
+        lineno = next(islice(data_lines(path), i, None))[0]  # row i is data line i
         raise ParseError(f"outlier flag must be 0 or 1, got {float(flag[i])!r}",
-                         path=path, line=lines[i])
+                         path=path, line=lineno)
     return AnnotatedColumns(points=table[:, :3], sigma=table[:, 3], mu=table[:, 4],
                             outlier=flag == 1.0)
 

@@ -163,6 +163,21 @@ def test_pearson_affine_invariance():
     assert pearson(2.5 * x + 7.0, y) == pytest.approx(base, abs=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-170, -4e307, 5e-324, 2.0**600, 2.0**-600])
+def test_pearson_extreme_scales(scale):
+    # r does not depend on scale, also where the centred squares, their sums
+    # or the mean would overflow or underflow; a power of two keeps its bits
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    y = np.array([0.1, 0.3, 0.2, 0.4])
+    r = pearson(x, y)
+    assert r == pytest.approx(0.8, abs=1e-15)
+    want = math.copysign(r, scale)
+    assert pearson(x * scale, y) == pytest.approx(want, abs=1e-14)
+    assert pearson(y, x * scale) == pytest.approx(want, abs=1e-14)
+    if math.frexp(scale)[0] == 0.5:
+        assert pearson(x * scale, y) == want
+
+
 def test_pearson_zero_variance_is_an_error():
     with pytest.raises(ZeroVariance):
         pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])

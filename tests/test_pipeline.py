@@ -15,11 +15,12 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
@@ -27,8 +28,8 @@ from numpy.testing import assert_array_equal
 from conftest import tree_digest, unit_sphere_cloud, write_benchmark_manifest
 from noisebench import (DEFAULT_NORMAL_K, AnnotatedCloud, DegenerateRay, EmptyCloud,
                         EmptyInput, GenerationError, InsufficientPoints, MissingSigma,
-                        NoiseBenchError, NoiseParams, ParseError, TIER_NAMES, TierConfig,
-                        TooFewValues, UnknownTier, ZeroVariance, corrupt_cloud,
+                        NoiseBenchError, NoiseParams, ParseError, Predictions, TIER_NAMES,
+                        TierConfig, TooFewValues, UnknownTier, ZeroVariance, corrupt_cloud,
                         generate_benchmark, preset_config, read_annotated, read_cloud,
                         read_manifest, read_predictions, read_sigma_summary,
                         read_tier_config, sample_seed, tier_params, write_annotated,
@@ -124,10 +125,14 @@ def test_read_cloud_errors(tmp_path):
         read_cloud(bad)
     assert info.value.line == 2
 
+    # numpy's C reader warns on a file with no data; no warning gets out
     empty = tmp_path / "empty.xyz"
-    empty.write_text("# nothing here\n")
-    with pytest.raises(EmptyCloud):
-        read_cloud(empty)
+    for text in ("# nothing here\n", "", "\n \t\r\n\r"):
+        empty.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyCloud):
+                read_cloud(empty)
 
     # a bad byte fails at its line, even in a comment, and lines end at
     # "\n", "\r\n" or "\r" as for every other error; the first bad line in
@@ -265,6 +270,16 @@ def test_read_annotated_rejects_bad_row(tmp_path, row):
     path = tmp_path / "bad.xyzn"
     path.write_text(f"0 0 1 0.1 0.0 0\n# comment\n{row}\n")
     with pytest.raises(ParseError) as info:
+        read_annotated(path)
+    assert info.value.line == 3
+
+
+def test_read_annotated_bad_flag_after_blank_line(tmp_path):
+    # numpy's C reader takes this file and keeps no line numbers; the bad
+    # flag still fails at its file line
+    path = tmp_path / "bad.xyzn"
+    path.write_text("0 0 1 0.1 0.0 0\n\n0 0 1 0.1 0.0 2\n")
+    with pytest.raises(ParseError, match="outlier flag") as info:
         read_annotated(path)
     assert info.value.line == 3
 
@@ -412,6 +427,229 @@ def test_csv_rows_matches_csv_reader(tmp_path_factory, limit, text):
         if limit is not None:
             csv.field_size_limit(limit)
         assert _csv_outcome(_fileio.csv_rows, path) == _csv_outcome(_csv_rows_reference, path)
+    finally:
+        csv.field_size_limit(old)
+
+
+def _read_table_reference(path, width):
+    """read_table as the line-numbered reader alone, with float() parsing every
+    field; returns (file lines, table)."""
+    lines, values = [], []
+    for lineno, line in _fileio.data_lines(path):
+        fields = line.split()
+        if len(fields) != width:
+            raise ParseError(f"expected {width} fields, got {len(fields)}",
+                             path=path, line=lineno)
+        try:
+            values.extend(map(float, fields))
+        except ValueError:
+            raise ParseError(f"bad float in {fields!r}", path=path, line=lineno) from None
+        lines.append(lineno)
+    if not lines:
+        raise EmptyCloud(f"{path}: no points")
+    table = np.array(values, dtype=np.float64).reshape(-1, width)
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ParseError(f"non-finite value in {table[i].tolist()!r}",
+                         path=path, line=lines[i])
+    return lines, table
+
+
+def _read_annotated_reference(path):
+    """read_annotated over _read_table_reference."""
+    lines, table = _read_table_reference(path, 6)
+    flag = table[:, 5]
+    bad = (flag != 0.0) & (flag != 1.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ParseError(f"outlier flag must be 0 or 1, got {float(flag[i])!r}",
+                         path=path, line=lines[i])
+    return table[:, :3], table[:, 3], table[:, 4], flag == 1.0
+
+
+def _read_predictions_reference(path):
+    """read_predictions as csv_rows with float() parsing every probability."""
+    lines, ids, labels, flat = [], [], [], []
+    for lineno, row in _fileio.csv_rows(path, "predictions", lambda header: (
+            len(header) >= 4 and header[:2] == ["sample_id", "true_label"]
+            and header[2:] == [f"p_{i}" for i in range(len(header) - 2)])):
+        try:
+            labels.append(int(row[1]))
+            if not -2**63 <= labels[-1] < 2**63:
+                raise ParseError(f"true_label {row[1]} does not fit in 64 bits",
+                                 path=path, line=lineno)
+            flat.extend(map(float, row[2:]))
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=lineno) from None
+        lines.append(lineno)
+        ids.append(row[0])
+    if not lines:
+        raise EmptyInput(f"{path}: no prediction rows")
+    try:
+        return Predictions(ids, np.array(labels, dtype=np.int64),
+                           np.array(flat).reshape(len(lines), -1))
+    except ValueError as exc:
+        row = getattr(exc, "row", None)
+        raise ParseError(str(exc), path=path,
+                         line=None if row is None else lines[row]) from None
+
+
+def _read_outcome(read, path):
+    """The arrays read(path) returns, as dtype, shape and bytes (a Predictions
+    as its ids, labels and probs), or its exception's type, message and line."""
+    try:
+        got = read(path)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    if isinstance(got, Predictions):
+        got = (got.ids, got.labels, got.probs)
+    return [(a.dtype.str, a.shape, a.tolist() if a.dtype == object else a.tobytes())
+            for a in (got if isinstance(got, tuple) else (got,))]
+
+
+# spellings that float() takes and numpy's C reader does not ("1_0",
+# non-ASCII digits), that both take ("1e400", "nan", "infinity") or that
+# neither takes (hex, NUL, "#", a BOM)
+_SPELLINGS = ("1_0", "\u0661\u0662", "#", "1#", "#1", "nan", "1e400", "\u0660.\u0665", "\uff11",
+              "-inf", "infinity", "\ufeff1", "1\x00", "0x1p3", "1e", "--1", "0", "-0.0", "+1",
+              ".5", "5.", "1e-400", "1.0", "2")
+# what str.split() splits at: ASCII and Unicode whitespace, NBSP, separators
+_GAPS = (" ", "  ", "\t", "\xa0", "\x1c", "\x1f", "\x85", "\u2028", "\x0b", "\x0c", "\u3000")
+_ENDS = ("\n", "\r\n", "\r")
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _table_bytes(draw, width):
+    # rows of round-trip floats (at width 6, the last a 0/1 flag) amid blank,
+    # whitespace-only and '#' lines, with any gaps and line endings; then at
+    # most one change: a field spelled oddly, a field more or less, a BOM or
+    # a byte that is not UTF-8
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "comment"]))
+        if kind == "row":
+            fields = [repr(v) for v in draw(st.lists(_FINITE, min_size=width, max_size=width))]
+            if width == 6:
+                fields[-1] = draw(st.sampled_from(["0", "1", "1.0", "-0.0"]))
+            lines.append(fields)
+        else:
+            lines.append(draw(st.sampled_from(
+                ["", " ", "\t", "\xa0", "\x1c"] if kind == "blank"
+                else ["#", "# x y z sigma mu outlier", "  #c", "#\x85"])))
+    change = draw(st.sampled_from(["none", "spell", "spell", "count", "bom", "byte"]))
+    rows = [line for line in lines if isinstance(line, list)]
+    if rows and change in ("spell", "count"):
+        fields = draw(st.sampled_from(rows))
+        if change == "spell":
+            fields[draw(st.integers(0, width - 1))] = draw(st.sampled_from(_SPELLINGS))
+        else:
+            fields[-1:] = [] if draw(st.booleans()) else [fields[-1], "0"]
+    text = []
+    for line in lines:
+        if isinstance(line, list):
+            gaps = draw(st.lists(st.sampled_from(_GAPS), min_size=len(line), max_size=len(line)))
+            gaps[-1] = draw(st.sampled_from(["", "", gaps[-1]]))  # after the last field
+            line = draw(st.sampled_from(["", "", " ", "\t", "\xa0"])) + \
+                "".join(f + g for f, g in zip(line, gaps))
+        text += [line, draw(st.sampled_from(_ENDS))]
+    if text and draw(st.booleans()):
+        text.pop()  # no ending on the last line
+    data = "".join(text).encode("utf-8")
+    if change == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif change == "byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_table_readers_match_line_reader(tmp_path_factory, data):
+    # the C parse first changes no value, error, message or line
+    width = data.draw(st.sampled_from([3, 6]))
+    path = tmp_path_factory.mktemp("table") / "t.txt"
+    path.write_bytes(data.draw(_table_bytes(width)))
+    reader = read_cloud if width == 3 else functools.partial(_fileio.read_table, width=6)
+    assert _read_outcome(reader, path) == \
+        _read_outcome(lambda p: _read_table_reference(p, width)[1], path)
+    if width == 6:
+        assert _read_outcome(read_annotated, path) == _read_outcome(_read_annotated_reference, path)
+
+
+# 0.5 and 0.25 spelled for float() alone, for numpy's C reader alone (an
+# ASCII information separator at an end), for both (csv unquotes '"0.5"'),
+# or for neither
+_HALF = ("\x1c0.5", "0.5\x1f", "0_0.5", "\u0660.\u0665", "\uff10.\uff15", '"0.5"', " 0.5",
+         "0.5\xa0", "\u20280.5", "5e-1", ".5", "nan", "inf", "1e400", "0x1p-1", "", "0.5\x00",
+         "0.5 0")
+_QUARTER = ("\x1d0.25", "0.25\x1e", "0.2_5", "\u0660.\u0662\u0665", "2.5e-1", "-0.25")
+_LABELS = ("0", "1", " 1", "+1", "0_1", "\u0661", "\x1c1", "-1", "x", "1.0", "", '"1"',
+           "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+           "18446744073709551616")
+_IDS = ("a", "", "\xe9", '"a,b"', '"a,b,c"', '"q""t"', 'x"y', '"x\ny"', "a\x00", "a\x1c", "x" * 41)
+
+
+@st.composite
+def _predictions_text(draw):
+    # a 2- or 3-class header, rows of probabilities summing to 1 and blank
+    # lines, with any line endings; then at most one change: a wrong header,
+    # an id holding quotes, commas or a line end, an odd or over-64-bit
+    # label, a spelled probability, a column more or less, a whitespace-only line
+    classes = draw(st.sampled_from([2, 3]))
+    header = ["sample_id", "true_label"] + [f"p_{i}" for i in range(classes)]
+    lines = [header]
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 3)):
+            p = draw(st.integers(0, 2**53)) / 2**53  # mostly 17 digits, some short
+            probs = [p, 1.0 - p] if classes == 2 else [p / 2, p / 2, 1.0 - p]
+            lines.append(["s1", draw(st.sampled_from(["0", "1"])), *map(repr, probs)])
+        else:
+            lines.append([""])
+    change = draw(st.sampled_from(["none", "header", "id", "label", "prob", "prob", "count",
+                                   "space"]))
+    rows = [line for line in lines[1:] if len(line) > 1]
+    row = draw(st.sampled_from(rows)) if rows else header[:]  # no row: change a throwaway
+    if change == "header":
+        lines[0] = draw(st.sampled_from([header[:-1], header + ["p_x"],
+                                         ["sample_id", "label", *header[2:]]]))
+    elif change == "id":
+        row[0] = draw(st.sampled_from(_IDS))
+    elif change == "label":
+        row[1] = draw(st.sampled_from(_LABELS))
+    elif change == "prob":
+        row[2:] = ["0.5", "0.5"] if classes == 2 else ["0.5", "0.25", "0.25"]
+        i = draw(st.integers(2, len(row) - 1))
+        row[i] = draw(st.sampled_from(_HALF if row[i] == "0.5" else _QUARTER))
+    elif change == "count":
+        row[-1:] = [] if draw(st.booleans()) else [row[-1], "0"]
+    elif change == "space":
+        lines.insert(draw(st.integers(1, len(lines))), [draw(st.sampled_from([" ", "\t"]))])
+    text = []
+    for line in lines:
+        text += [",".join(line), draw(st.sampled_from(_ENDS))]
+    if draw(st.booleans()):
+        text.pop()  # no ending on the last line
+    return "".join(text)
+
+
+@pytest.mark.parametrize("limit", [None, 8, 40])
+@settings(max_examples=300, deadline=None)
+@given(text=_predictions_text())
+@example(text="sample_id,true_label,p_0,p_1\ns,0,1,0\n")
+def test_read_predictions_matches_line_reader(tmp_path_factory, limit, text):
+    # the C parse first changes no value, error, message or line, also where
+    # csv's field size limit is below a field of the header or of a row
+    path = tmp_path_factory.mktemp("preds") / "p.csv"
+    path.write_bytes(text.encode("utf-8"))
+    old = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        assert _read_outcome(read_predictions, path) == \
+            _read_outcome(_read_predictions_reference, path)
     finally:
         csv.field_size_limit(old)
 
