@@ -15,8 +15,9 @@ import math
 import sys
 from pathlib import Path
 
-from . import metrics, pipeline
 from .errors import NoiseBenchError
+from .tiers import (DEFAULT_BINS, DEFAULT_NORMAL_K, DEFAULT_QUARTILES, DEFAULT_SENSOR,
+                    TIER_NAMES, tier_params)
 
 
 def _parse_sensor(text):
@@ -64,9 +65,10 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None,
                    help="global seed (default 0, or the config file's)")
     p.add_argument("--normal-k", type=int, default=None,
-                   help="normal estimation neighborhood size (default 16)")
+                   help=f"normal estimation neighborhood size (default {DEFAULT_NORMAL_K})")
     p.add_argument("--sensor", type=_parse_sensor, default=None, metavar="X,Y,Z",
-                   help="sensor position (default 0,-2,0)")
+                   help="sensor position (default "
+                        f"{','.join(f'{v:g}' for v in DEFAULT_SENSOR)})")
     p.add_argument("--scale", type=_parse_scale, default=None,
                    help="uniform coordinate scale applied before corruption")
     p.add_argument("--threads", type=_parse_count, default=None,
@@ -78,7 +80,7 @@ def build_parser():
     p = sub.add_parser("evaluate", help="score predictions against a sigma summary")
     p.add_argument("predictions", help="predictions CSV")
     p.add_argument("sigma_summary", help="sigma summary CSV from corrupt")
-    p.add_argument("--bins", type=_parse_count, default=metrics.DEFAULT_BINS,
+    p.add_argument("--bins", type=_parse_count, default=DEFAULT_BINS,
                    help="calibration bin count (default %(default)s)")
     p.add_argument("--out", default=None, metavar="DIR",
                    help="write report.txt and curve.csv to DIR")
@@ -88,15 +90,15 @@ def build_parser():
                    help="prediction CSVs, one per tier")
     p.add_argument("--sigmas", nargs="+", required=True, metavar="CSV",
                    help="sigma summary CSVs, matching --preds order")
-    p.add_argument("--quartiles", type=_parse_count, default=metrics.DEFAULT_QUARTILES,
+    p.add_argument("--quartiles", type=_parse_count, default=DEFAULT_QUARTILES,
                    help="number of rank groups (default %(default)s)")
-    p.add_argument("--bins", type=_parse_count, default=metrics.DEFAULT_BINS,
+    p.add_argument("--bins", type=_parse_count, default=DEFAULT_BINS,
                    help="calibration bin count (default %(default)s)")
     p.add_argument("--out", default=None, metavar="DIR",
                    help="write stratified.csv to DIR")
 
     p = sub.add_parser("params", help="print a preset tier's parameters")
-    p.add_argument("tier", help="tier name: " + ", ".join(pipeline.TIER_NAMES))
+    p.add_argument("tier", help="tier name: " + ", ".join(TIER_NAMES))
 
     return parser
 
@@ -107,7 +109,9 @@ def _resolve_tier(args):
 
     Raises ValueError when an override fails TierConfig validation.
     """
-    if args.tier in pipeline.TIER_NAMES:
+    from . import pipeline
+
+    if args.tier in TIER_NAMES:
         config = pipeline.preset_config(args.tier)
     elif Path(args.tier).is_file():
         config = pipeline.read_tier_config(args.tier)
@@ -120,6 +124,8 @@ def _resolve_tier(args):
 
 
 def _cmd_corrupt(args):
+    from . import pipeline
+
     try:
         config = _resolve_tier(args)
     except ValueError as exc:
@@ -127,7 +133,7 @@ def _cmd_corrupt(args):
         return 2
     if config is None:
         print(f"error: {args.tier!r} is neither a preset tier "
-              f"({', '.join(pipeline.TIER_NAMES)}) nor a config file",
+              f"({', '.join(TIER_NAMES)}) nor a config file",
               file=sys.stderr)
         return 2
     manifest = pipeline.read_manifest(args.manifest)
@@ -144,6 +150,8 @@ def _cmd_corrupt(args):
 
 
 def _cmd_evaluate(args):
+    from . import metrics
+
     preds = metrics.read_predictions(args.predictions)
     sigma_by_id = metrics.read_sigma_summary(args.sigma_summary)
     report = metrics.evaluate(preds, sigma_by_id, bins=args.bins)
@@ -159,6 +167,8 @@ def _cmd_stratify(args):
         print("error: --preds and --sigmas must list the same number of files",
               file=sys.stderr)
         return 2
+    from . import metrics
+
     tier_sets = []
     for pred_path, sigma_path in zip(args.preds, args.sigmas):
         tier_sets.append((metrics.read_predictions(pred_path),
@@ -180,7 +190,7 @@ def _cmd_stratify(args):
 
 def _cmd_params(args):
     try:
-        params = pipeline.tier_params(args.tier)
+        params = tier_params(args.tier)
     except NoiseBenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

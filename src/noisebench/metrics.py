@@ -23,9 +23,7 @@ from ._fileio import (SUMMARY_HEADER, atomic_text, c_table, csv_rows, fmt, plain
                       write_csv)
 from .errors import (EmptyInput, MissingSigma, ParseError, TooFewValues,
                      ZeroVariance)
-
-DEFAULT_BINS = 15
-DEFAULT_QUARTILES = 4
+from .tiers import DEFAULT_BINS, DEFAULT_QUARTILES
 
 
 class InvalidRow(ValueError):

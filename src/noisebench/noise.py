@@ -23,44 +23,13 @@ import numpy as np
 
 from .geometry import (estimate_normals, incidence_cosine, range_to_sensor, _as_cloud,
                        _as_vec3, _unit_rays)
+from .tiers import NoiseParams, _check_seed
 
 # purpose tags for per-sample random substreams; each purpose gets its own
 # counter-based stream so draws are indexed by (point order, purpose) and
 # never shared between the Gaussian and outlier stages
 _STREAM_PERTURB = 1
 _STREAM_OUTLIER = 2
-
-
-def _check_seed(seed, what="seed"):
-    """ValueError unless seed is in [0, 2^64): no two seeds alias."""
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"{what} must be in [0, 2**64), got {seed}")
-
-
-@dataclass(frozen=True)
-class NoiseParams:
-    """Tier parameter bundle.
-
-    :param a: base range noise [m], finite and >= 0
-    :param b: range noise growth per meter [1], finite and >= 0
-    :param c: incidence sensitivity [1], finite and >= 0
-    :param k: incidence bias scale [m], finite and >= 0
-    :param p_out: outlier probability per point, in [0, 1]
-    """
-
-    a: float
-    b: float
-    c: float
-    k: float
-    p_out: float
-
-    def __post_init__(self):
-        for name in ("a", "b", "c", "k"):
-            v = getattr(self, name)
-            if not (0.0 <= v < float("inf")):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if not (0.0 <= self.p_out <= 1.0):
-            raise ValueError(f"p_out must be in [0, 1], got {self.p_out}")
 
 
 def sigma_range(r, a, b):

@@ -1,4 +1,4 @@
-"""Benchmark generation: tier presets, seeding, file formats, batch runs.
+"""Benchmark generation: tier configs, seeding, file formats, batch runs.
 
 File formats (all UTF-8 text). Readers skip blank lines, and '#' comment
 lines in all but the CSV formats; float fields must be finite; a bad line
@@ -35,30 +35,11 @@ import numpy as np
 
 from ._fileio import (SUMMARY_HEADER, csv_rows, data_lines, fmt, read_table,
                       write_csv, write_table)
-from .errors import GenerationError, ParseError, UnknownTier
+from .errors import GenerationError, ParseError
 from .geometry import _as_cloud, _as_vec3
-from .noise import NoiseParams, _check_seed, corrupt_cloud
-
-DEFAULT_SENSOR = (0.0, -2.0, 0.0)
-DEFAULT_NORMAL_K = 16
-
-# built-in corruption tiers, mildest to harshest
-_PRESETS = {
-    "none": NoiseParams(a=0.0, b=0.0, c=0.0, k=0.0, p_out=0.0),
-    "light": NoiseParams(a=0.003, b=0.001, c=1.5, k=0.005, p_out=0.01),
-    "moderate": NoiseParams(a=0.005, b=0.002, c=2.0, k=0.010, p_out=0.02),
-    "heavy": NoiseParams(a=0.010, b=0.003, c=3.0, k=0.015, p_out=0.05),
-}
-
-TIER_NAMES = tuple(_PRESETS)
-
-
-def tier_params(name):
-    """Look up a preset NoiseParams by tier name."""
-    try:
-        return _PRESETS[name]
-    except KeyError:
-        raise UnknownTier(name, TIER_NAMES) from None
+from .noise import corrupt_cloud
+from .tiers import (DEFAULT_NORMAL_K, DEFAULT_SENSOR, TIER_NAMES, _PRESETS, NoiseParams,
+                    _check_seed, tier_params)
 
 
 def _is_plain_name(name):

@@ -172,13 +172,17 @@ def test_corrupt_huge_scale_names_the_limit(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
-def _run_cli(*args):
-    """Run the CLI in a subprocess, where pytest cannot turn a warning into an error."""
+def _run_python(*args):
+    """Run Python in a subprocess, where pytest cannot turn a warning into an error."""
     src = str(Path(noisebench.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "noisebench.cli", *map(str, args)],
+    return subprocess.run([sys.executable, *map(str, args)],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def _run_cli(*args):
+    return _run_python("-m", "noisebench.cli", *args)
 
 
 def test_corrupt_overflowing_sample_mean_fails(tmp_path):
@@ -450,3 +454,73 @@ def test_stratify_mismatched_lists_exit_2(tmp_path, capsys):
 def test_cli_help_exits_zero():
     assert main(["--help"]) == 0
     assert main(["corrupt", "--help"]) == 0
+
+
+_NO_NUMPY = """
+import contextlib, io, sys
+
+def check(step):
+    assert "numpy" not in sys.modules, f"numpy loaded by {step}"
+
+check("interpreter start")
+import noisebench
+check("import noisebench")
+from noisebench.cli import main
+check("import noisebench.cli")
+for argv, code in [(["params", "moderate"], 0), (["--help"], 0),
+                   *(([cmd, "--help"], 0) for cmd in ("corrupt", "evaluate", "stratify",
+                                                       "params")),
+                   ([], 2), (["params"], 2), (["params", "brutal"], 2),
+                   (["evaluate", "p.csv", "s.csv", "--bins", "0"], 2),
+                   (["corrupt", "m.csv", "light", "out", "--sensor", "1,2"], 2)]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == code, argv
+    check(argv)
+"""
+
+
+def test_cli_without_data_loads_no_numpy():
+    # params, --help and usage errors touch no array, so they must start
+    # without paying for numpy's import
+    run = _run_python("-c", _NO_NUMPY)
+    assert run.returncode == 0, run.stderr
+
+
+_PACKAGE_NAMES = """
+    AnnotatedCloud CalibrationBin DEFAULT_NORMAL_K DEFAULT_SENSOR DegenerateRay
+    EmptyCloud EmptyInput EvalReport GenerationError GenerationSummary
+    InsufficientPoints Manifest MissingSigma NoiseBenchError NoiseParams NormalEstimate
+    ParseError Predictions QuartileEce SampleEntry TIER_NAMES TierConfig TooFewValues
+    UnknownTier ZeroVariance accuracy angle_factor bias_mu bounding_box corrupt_cloud
+    ece estimate_normals evaluate generate_benchmark incidence_cosine inject_outliers
+    pearson perturb_points point_sigma preset_config quartile_bins range_to_sensor
+    read_annotated read_cloud read_manifest read_predictions read_sigma_summary
+    read_tier_config reliability_curve sample_seed sigma_range stratified_ece
+    tier_params uncertainty_correlation write_annotated write_cloud
+""".split()
+
+_SUBMODULE_ATTRIBUTES = """
+import sys
+import noisebench
+for name in ("errors", "geometry", "metrics", "noise", "pipeline"):
+    assert getattr(noisebench, name) is sys.modules["noisebench." + name], name
+"""
+
+
+def test_package_surface_loads_on_first_use():
+    assert sorted(noisebench.__all__) == sorted(_PACKAGE_NAMES)
+    for name in noisebench.__all__:
+        obj = getattr(noisebench, name)
+        home = sys.modules[getattr(obj, "__module__", "noisebench.tiers")]
+        assert getattr(home, name) is obj, name
+    assert noisebench.pipeline.TIER_NAMES is noisebench.TIER_NAMES
+    assert noisebench.noise.NoiseParams is noisebench.NoiseParams
+    with pytest.raises(AttributeError, match="no_such_name"):
+        noisebench.no_such_name
+    namespace = {}
+    exec("from noisebench import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace == {name: getattr(noisebench, name) for name in _PACKAGE_NAMES}
+    # a fresh interpreter, where no submodule is loaded before it is asked for
+    run = _run_python("-c", _SUBMODULE_ATTRIBUTES)
+    assert run.returncode == 0, run.stderr

@@ -874,6 +874,16 @@ def _scripted_corrupt_one(action, parent, entry, config, scale, tier_dir, base_d
     return _REAL_CORRUPT_ONE(entry, config, scale, tier_dir, base_dir)
 
 
+@pytest.fixture
+def default_sigint():
+    """Python's own SIGINT handler for the test, so a real SIGINT raises
+    KeyboardInterrupt also where pytest started with SIGINT ignored, as a
+    background job of a non-interactive shell does."""
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGINT, previous)
+
+
 def _called(root):
     return sorted(p.name.removesuffix(".called") for p in root.glob("*.called"))
 
@@ -900,7 +910,8 @@ def test_generate_benchmark_interrupt_stops_run(tmp_path, monkeypatch):
     _check_interrupted_run(tmp_path, finished=2)
 
 
-def test_generate_benchmark_sigint_stops_run(tmp_path, monkeypatch, start_method):
+def test_generate_benchmark_sigint_stops_run(tmp_path, monkeypatch, start_method,
+                                             default_sigint):
     # a real Ctrl-C reaches the parent alone; the worker finishes its sample
     manifest = read_manifest(write_benchmark_manifest(tmp_path, 6, 48, seed=68))
     monkeypatch.setattr(pipeline, "_corrupt_one",
@@ -911,7 +922,8 @@ def test_generate_benchmark_sigint_stops_run(tmp_path, monkeypatch, start_method
 
 
 @pytest.mark.parametrize("case", ["fail_fast", "interrupted", "keep_going", "fewer"])
-def test_generate_benchmark_rerun_replaces_tree_whole(tmp_path, monkeypatch, case):
+def test_generate_benchmark_rerun_replaces_tree_whole(tmp_path, monkeypatch, case,
+                                                      default_sigint):
     # a rerun publishes its own tree only when it finishes; a failed or
     # interrupted rerun leaves the earlier tree byte for byte
     manifest_path = write_benchmark_manifest(tmp_path, 3, 48, seed=65)
