@@ -149,41 +149,27 @@ def csv_rows(path, what, header_ok):
 
     ParseError at line 1 when the header is missing or header_ok(header)
     is false, and at a row's line when its column count differs from the
-    header's or csv rejects it (say, a field over csv's size limit). That
-    line is where the record starts, even after a quoted field spanning
-    lines; a bad byte is reported at its own line. A line with no '"' or NUL
-    and no longer than csv.field_size_limit() is one whole record, split at
-    "," as csv.reader would split it; any other line starts a record that
-    csv.reader reads from that line on.
+    header's, its first field (sample_id in every format) repeats an earlier
+    row's, or csv rejects it (say, a field over csv's size limit). That line
+    is where the record starts, even after a quoted field spanning lines; a
+    bad byte is reported at its own line.
     """
-    records = _records(path)
-    _, header = next(records, (1, None))
-    if header is None or not header_ok(header):
-        raise ParseError(f"bad {what} header {header!r}", path=path, line=1)
-    for lineno, row in records:
-        if row:
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} columns, got {len(row)}",
-                                 path=path, line=lineno)
-            yield lineno, row
-
-
-def plain_line(line, limit):
-    """True when csv.reader would read `line` as one record split at every
-    ",": no '"' (a field may span lines), no NUL (rejected before Python
-    3.11), and no longer than csv's field size `limit`."""
-    return '"' not in line and "\0" not in line and len(line) <= limit
-
-
-def _records(path):
-    """Yield (start line, row) of every CSV record of _lines(path); see csv_rows."""
-    lines, limit = _lines(path), csv.field_size_limit()
-    for lineno, line in lines:
-        if not plain_line(line, limit):
-            try:
-                row = next(csv.reader(chain([line], (rest for _, rest in lines))))
-            except csv.Error as exc:
-                raise ParseError(f"malformed CSV ({exc})", path=path, line=lineno) from None
-        else:  # a line starting with its ending is blank: []
-            row = line.rstrip("\r\n").split(",") if line[0] not in "\r\n" else []
-        yield lineno, row
+    reader = csv.reader(line for _, line in _lines(path))
+    start, seen = 1, set()
+    try:
+        header = next(reader, None)
+        if header is None or not header_ok(header):
+            raise ParseError(f"bad {what} header {header!r}", path=path, line=1)
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} columns, got {len(row)}",
+                                     path=path, line=start)
+                if row[0] in seen:
+                    raise ParseError(f"duplicate sample_id {row[0]!r}", path=path, line=start)
+                seen.add(row[0])
+                yield start, row
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV ({exc})", path=path, line=start) from None

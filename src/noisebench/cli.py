@@ -194,8 +194,8 @@ def _cmd_params(args):
     except NoiseBenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for key in ("a", "b", "c", "k", "p_out"):
-        print(f"{key}={getattr(params, key)!r}")
+    for field in dataclasses.fields(params):
+        print(f"{field.name}={getattr(params, field.name)!r}")
     return 0
 
 

@@ -19,8 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._fileio import (SUMMARY_HEADER, atomic_text, c_table, csv_rows, fmt, plain_line,
-                      write_csv)
+from ._fileio import SUMMARY_HEADER, atomic_text, c_table, csv_rows, fmt, write_csv
 from .errors import (EmptyInput, MissingSigma, ParseError, TooFewValues,
                      ZeroVariance)
 from .tiers import DEFAULT_BINS, DEFAULT_QUARTILES
@@ -331,26 +330,34 @@ def read_predictions(path):
                          line=None if row is None else lines[row]) from None
 
 
+def _plain_line(line, limit):
+    """True when csv.reader would read `line` as one record split at every ",":
+    no '"', no NUL (rejected before Python 3.11), within csv's field size `limit`."""
+    return '"' not in line and "\0" not in line and len(line) <= limit
+
+
 def _c_predictions(path):
-    """read_predictions of a file of plain lines (_fileio.plain_line) that it
-    accepts, with numpy's C reader parsing the text after each row's
-    true_label; None for any other file."""
+    """read_predictions of a file of plain lines (_plain_line) with distinct
+    ids that it accepts, with numpy's C reader parsing the text after each
+    row's true_label; None for any other file."""
     limit, ids, labels, tails = csv.field_size_limit(), [], [], []
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             header = next(fh, '"')
-            if not (plain_line(header, limit)
+            if not (_plain_line(header, limit)
                     and _predictions_header(header.rstrip("\r\n").split(","))):
                 return None
             for line in fh:
                 if line[0] in "\r\n":  # a blank line holds no row
                     continue
-                if not plain_line(line, limit):
+                if not _plain_line(line, limit):
                     return None
                 sid, label, tail = line.split(",", 2)
                 ids.append(sid)
                 labels.append(int(label))
                 tails.append(tail)
+        if len(set(ids)) < len(ids):  # csv_rows reports the repeat at its line
+            return None
         probs = c_table(tails, header.count(",") - 1, ",")
         return None if probs is None else Predictions(ids, np.array(labels, np.int64), probs)
     except (ValueError, OverflowError):  # bad UTF-8, row, label or probabilities
@@ -362,16 +369,13 @@ def read_sigma_summary(path):
     table = {}
     for lineno, row in csv_rows(path, "summary",
                                 lambda header: tuple(header) == SUMMARY_HEADER):
-        sid = row[0]
-        if sid in table:
-            raise ParseError(f"duplicate sample_id {sid!r}", path=path, line=lineno)
         try:
             sigma = float(row[2])
         except ValueError:
             sigma = math.nan
         if not math.isfinite(sigma):
             raise ParseError(f"bad mean_sigma {row[2]!r}", path=path, line=lineno)
-        table[sid] = sigma
+        table[row[0]] = sigma
     if not table:
         raise EmptyInput(f"{path}: no summary rows")
     return table

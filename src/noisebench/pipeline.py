@@ -3,6 +3,8 @@
 File formats (all UTF-8 text). Readers skip blank lines, and '#' comment
 lines in all but the CSV formats; float fields must be finite; a bad line
 is a ParseError citing its file line (for CSV, where its record starts).
+Each CSV format (manifest, sigma summary, predictions) starts with a
+sample_id column, whose values must not repeat within a file.
 Point files and probabilities go through numpy's C reader first; the
 line-numbered reader alone raises errors and reads what it refuses (_fileio).
 
@@ -26,7 +28,7 @@ import os
 import struct
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
@@ -43,8 +45,8 @@ from .tiers import (DEFAULT_NORMAL_K, DEFAULT_SENSOR, TIER_NAMES, _PRESETS, Nois
 
 
 def _is_plain_name(name):
-    """True for a plain file name: not empty, '.' or '..', no '/' or '\\'."""
-    return name not in ("", ".", "..") and "/" not in name and "\\" not in name
+    """True for a plain file name: not empty, '.' or '..', no '/', '\\' or NUL."""
+    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
 
 
 @dataclass
@@ -154,20 +156,16 @@ class Manifest:
 
 
 def read_manifest(path):
-    """Parse a manifest CSV; labels must be non-negative, and sample ids unique
-    plain file names (not empty, '.' or '..', no '/' or '\\'), since each id
+    """Parse a manifest CSV; labels must be non-negative, and sample ids plain
+    file names (not empty, '.' or '..', no '/', '\\' or NUL), since each id
     names its output file inside the tier directory."""
     path = Path(path)
     entries = []
-    seen = set()
     for lineno, (sid, label_s, rel) in csv_rows(
             path, "manifest", lambda header: header == ["sample_id", "label", "path"]):
         if not _is_plain_name(sid):
             raise ParseError(f"sample_id {sid!r} is not a plain file name",
                              path=path, line=lineno)
-        if sid in seen:
-            raise ParseError(f"duplicate sample_id {sid!r}", path=path, line=lineno)
-        seen.add(sid)
         try:
             label = int(label_s)
         except ValueError:
@@ -182,7 +180,7 @@ def read_manifest(path):
     return Manifest(entries=entries, base_dir=path.parent)
 
 
-_TIER_CONFIG_KEYS = ("a", "b", "c", "k", "p_out", "sensor_x", "sensor_y",
+_TIER_CONFIG_KEYS = (*(f.name for f in fields(NoiseParams)), "sensor_x", "sensor_y",
                      "sensor_z", "normal_k", "global_seed")
 
 
@@ -209,7 +207,7 @@ def read_tier_config(path):
             raise ParseError(f"bad value for {key}: {val!r}", path=path,
                              line=lineno) from None
     sensor = tuple(values.pop("sensor_" + ax, v) for ax, v in zip("xyz", DEFAULT_SENSOR))
-    noise = {key: values.pop(key) for key in ("a", "b", "c", "k", "p_out") if key in values}
+    noise = {f.name: values.pop(f.name) for f in fields(NoiseParams) if f.name in values}
     try:  # normal_k and global_seed are left in values
         return TierConfig(name="custom", params=replace(_PRESETS["none"], **noise),
                           sensor=sensor, **values)

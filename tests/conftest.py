@@ -133,7 +133,7 @@ def pytest_runtest_logreport(report):
 
 
 def pytest_terminal_summary(terminalreporter, config):
-    if config.get_verbosity() < 0:  # -q hides the report header
+    if config.getoption("verbose") < 0:  # -q hides the report header
         terminalreporter.write_line(_blas_line())
     if not _acceptance_outcomes:
         return

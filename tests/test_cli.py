@@ -13,8 +13,11 @@ import pytest
 
 from conftest import tree_digest, unit_sphere_cloud, write_benchmark_manifest
 import noisebench
-from noisebench import read_annotated, read_sigma_summary, write_cloud
+from noisebench import (DEFAULT_NORMAL_K, DEFAULT_SENSOR, corrupt_cloud, estimate_normals,
+                        read_annotated, read_sigma_summary, sample_seed, tier_params,
+                        write_cloud)
 from noisebench.cli import main
+from noisebench.noise import _STREAM_PERTURB, _substream
 
 
 def write_predictions(path, rows, classes=3):
@@ -74,6 +77,37 @@ def test_corrupt_golden_tree_digest(tmp_path):
                  "--threads", "2"]) == 0
     assert tree_digest(out) == (
         "8a8abb04b6deab9eb3d56b3c856d32c66b3cb96fe28b5de5a7b8ece4b33b8fc2")
+
+
+def _golden_stage(stage, i):
+    """One stage's array for sample s{i:04d} of the golden corrupt run above,
+    whose cloud file holds unit_sphere_cloud(300, seed=90 + i) exactly."""
+    cloud = unit_sphere_cloud(300, seed=90 + i)
+    seed = sample_seed(11, f"s{i:04d}")
+    if stage == "normal_draws":
+        return _substream(seed, _STREAM_PERTURB).standard_normal(len(cloud))
+    if stage == "normals":
+        return estimate_normals(cloud, DEFAULT_NORMAL_K, DEFAULT_SENSOR).vectors
+    return corrupt_cloud(cloud, DEFAULT_SENSOR, tier_params("heavy"), DEFAULT_NORMAL_K,
+                         seed).sigma
+
+
+_GOLDEN_STAGE_DIGESTS = {
+    "normal_draws": "a066349ef48377c7801361222afdb8d94ce1e3b89125e7ea682beea7fd57feb7",
+    "normals": "4857345948e6c3e38d4e4dae9580c6dfc5fc2f372249cdf5935dc8a1fc374d85",
+    "sigma": "37420e63d2609b7b2a945d4642fb1af5067192fa24418cdeb7f5ceec31d65d8c",
+}
+
+
+@pytest.mark.parametrize("stage", list(_GOLDEN_STAGE_DIGESTS))
+def test_corrupt_golden_stage_digest(stage):
+    # the golden tree's stages, frozen one by one so that a mismatch names
+    # its stage: the Philox normal draws use no BLAS, while the normals (the
+    # covariance @ and eigh), and sigma through them, depend on the BLAS kernel
+    h = hashlib.sha256()
+    for i in range(4):
+        h.update(_golden_stage(stage, i).astype("<f8").tobytes())
+    assert h.hexdigest() == _GOLDEN_STAGE_DIGESTS[stage]
 
 
 def test_corrupt_seed_changes_output(tmp_path):
@@ -276,6 +310,20 @@ def test_evaluate_malformed_predictions_exit_1(tmp_path, capsys):
                        "a,0,0.01,0.0,0\n")
     assert main(["evaluate", str(preds), str(summary)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_evaluate_repeated_sample_id_exit_1(tmp_path, capsys):
+    # a repeated row would be scored twice
+    preds = tmp_path / "preds.csv"
+    write_predictions(preds, [("a", 0, [0.8, 0.1, 0.1]), ("a", 1, [0.1, 0.8, 0.1]),
+                              ("b", 2, [0.1, 0.1, 0.8])])
+    summary = tmp_path / "summary.csv"
+    summary.write_text("sample_id,label,mean_sigma,mean_mu,outlier_count\n"
+                       "a,0,0.01,0.0,0\nb,2,0.02,0.0,0\n")
+    assert main(["evaluate", str(preds), str(summary)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {preds}:3: duplicate sample_id 'a'\n"
 
 
 @pytest.mark.parametrize("pred_row,sigma", [

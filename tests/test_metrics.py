@@ -332,7 +332,7 @@ def test_read_predictions_roundtrip(tmp_path_factory, data):
     n = data.draw(st.integers(1, 12))
     classes = data.draw(st.integers(2, 6))
     ids = data.draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",)),
-                                     max_size=6), min_size=n, max_size=n))
+                                     max_size=6), min_size=n, max_size=n, unique=True))
     labels = data.draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n))
     weights = np.array(data.draw(st.lists(
         st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),

@@ -324,7 +324,7 @@ def test_manifest_validation(tmp_path):
     assert info.value.line == 4
 
 
-@pytest.mark.parametrize("sid", ["", ".", "..", "../../escaped", "a/b", "a\\b"])
+@pytest.mark.parametrize("sid", ["", ".", "..", "../../escaped", "a/b", "a\\b", "a\0b"])
 def test_manifest_rejects_unsafe_sample_id(tmp_path, sid):
     # sample ids name output files, so they must stay inside the tier dir
     path = tmp_path / "m.csv"
@@ -337,7 +337,7 @@ def test_manifest_rejects_unsafe_sample_id(tmp_path, sid):
 
 
 def _safe_id(sid):
-    return sid not in ("", ".", "..") and "/" not in sid and "\\" not in sid
+    return sid not in ("", ".", "..") and not any(c in sid for c in "/\\\0")
 
 
 @settings(max_examples=100, deadline=None)
@@ -358,77 +358,65 @@ def test_manifest_roundtrip_unicode(tmp_path_factory, data):
         list(zip(ids, labels, paths))
 
 
-def _csv_rows_reference(path, what, header_ok):
-    """csv_rows as one csv.reader over every line of _lines(path)."""
-    reader = csv.reader(line for _, line in _fileio._lines(path))
-    start = 1
-    try:
-        header = next(reader, None)
-        if header is None or not header_ok(header):
-            raise ParseError(f"bad {what} header {header!r}", path=path, line=1)
-        start = reader.line_num + 1
-        for row in reader:
-            if row:
-                if len(row) != len(header):
-                    raise ParseError(f"expected {len(header)} columns, got {len(row)}",
-                                     path=path, line=start)
-                yield start, row
-            start = reader.line_num + 1
-    except csv.Error as exc:
-        raise ParseError(f"malformed CSV ({exc})", path=path, line=start) from None
-
-
-def _csv_outcome(rows, path):
-    """The (line, row) pairs `rows` yields for `path`, then its ParseError's
-    line and message, if any."""
+def _csv_outcome(path):
+    """The (line, row) pairs csv_rows yields for `path`, then its ParseError's
+    line and message without the path, if any."""
     out = []
     try:
-        out.extend(rows(path, "test", lambda header: header != ["reject"]))
+        out.extend(_fileio.csv_rows(path, "test", lambda header: header != ["reject"]))
     except ParseError as exc:
-        out.append((exc.line, str(exc)))
+        out.append((exc.line, str(exc).removeprefix(f"{path}:{exc.line}: ")))
     return out
 
 
-_CSV_FIELD = st.text(st.sampled_from('a1 ,"\n\r\0\xe9'), max_size=6)
-_CSV_END = st.sampled_from(["\n", "\r\n", "\r"])
-_CSV_RAW = st.sampled_from(['a"b', '"a"b', '"open', 'x,"y', '""', '"', 'reject', 'a,,b'])
+_LIMIT_ERROR = "malformed CSV (field larger than field limit (4))"
 
 
-@st.composite
-def _csv_text(draw):
-    # records of a fixed width, some quoted, some raw and so malformed or of
-    # another width, blank lines, and mixed line endings
-    width = draw(st.integers(1, 3))
-    parts = []
-    for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(["record", "record", "blank", "raw"]))
-        if kind == "record":
-            fields = draw(st.lists(_CSV_FIELD, min_size=width, max_size=width))
-            parts.append(",".join('"' + f.replace('"', '""') + '"' if draw(st.booleans())
-                                  else f for f in fields))
-        elif kind == "raw":
-            parts.append(draw(_CSV_RAW))
-        parts.append(draw(_CSV_END))
-    if parts and draw(st.booleans()):
-        parts.pop()  # no ending on the last line
-    return "".join(parts)
-
-
-@pytest.mark.parametrize("limit", [None, 4])
-@settings(max_examples=300, deadline=None)
-@given(text=_csv_text())
-def test_csv_rows_matches_csv_reader(tmp_path_factory, limit, text):
-    # split lines and csv.reader records agree on rows, start lines and
-    # errors, also where csv's field size limit is below a line's length
-    path = tmp_path_factory.mktemp("csv") / "t.csv"
+@pytest.mark.parametrize("text, limit, expected", [
+    # a record starts on the line its quoted field opens; "\r" alone ends a line
+    ('h,i\n"a\r\nb",1\r\n\rc,2', None, [(2, ["a\r\nb", "1"]), (5, ["c", "2"])]),
+    ("h\ra\r\rb\r", None, [(2, ["a"]), (4, ["b"])]),
+    # a quote inside a field is text, and one left open runs to the end
+    ('h,i\na"b,"x""y"\n"a"b,c\n', None, [(2, ['a"b', 'x"y']), (3, ["ab", "c"])]),
+    ('h,i\na,1\n"open\nb,2\n', None, [(2, ["a", "1"]), (3, "expected 2 columns, got 1")]),
+    # past csv's field size limit, also across lines, at the record's start
+    ("h,i\nab,1\nabcde,2\n", 4, [(2, ["ab", "1"]), (3, _LIMIT_ERROR)]),
+    ('h,i\nab,1\n"ab\ncd",2\n', 4, [(2, ["ab", "1"]), (3, _LIMIT_ERROR)]),
+    ("reject\na\n", None, [(1, "bad test header ['reject']")]),
+    ("", None, [(1, "bad test header None")]),
+], ids=["multiline", "cr", "quote-text", "open-quote", "limit", "limit-multiline",
+        "header", "empty"])
+def test_csv_rows_fixed_cases(tmp_path, text, limit, expected):
+    path = tmp_path / "t.csv"
     path.write_bytes(text.encode("utf-8"))
     old = csv.field_size_limit()
     try:
         if limit is not None:
             csv.field_size_limit(limit)
-        assert _csv_outcome(_fileio.csv_rows, path) == _csv_outcome(_csv_rows_reference, path)
+        assert _csv_outcome(path) == expected
     finally:
         csv.field_size_limit(old)
+
+
+_CSV_FORMATS = {
+    "manifest": (read_manifest, "sample_id,label,path", "{},0,x.xyz"),
+    "summary": (read_sigma_summary, ",".join(_fileio.SUMMARY_HEADER), "{},0,0.01,0.0,0"),
+    "predictions": (read_predictions, "sample_id,true_label,p_0,p_1", "{},0,0.5,0.5"),
+}
+
+
+@pytest.mark.parametrize("first", ["a", '"a"'], ids=["plain", "quoted"])
+@pytest.mark.parametrize("kind", list(_CSV_FORMATS))
+def test_repeated_sample_id_fails_at_its_line(tmp_path, kind, first):
+    # rows are keyed by sample_id in every CSV format; a quoted field sends
+    # predictions past numpy's C reader to the csv.reader path
+    read, header, row = _CSV_FORMATS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join([header, row.format(first), row.format("a"),
+                               row.format("b")]) + "\n")
+    with pytest.raises(ParseError) as info:
+        read(path)
+    assert str(info.value) == f"{path}:3: duplicate sample_id 'a'"
 
 
 def _read_table_reference(path, width):
@@ -594,10 +582,11 @@ _IDS = ("a", "", "\xe9", '"a,b"', '"a,b,c"', '"q""t"', 'x"y', '"x\ny"', "a\x00",
 
 @st.composite
 def _predictions_text(draw):
-    # a 2- or 3-class header, rows of probabilities summing to 1 and blank
-    # lines, with any line endings; then at most one change: a wrong header,
-    # an id holding quotes, commas or a line end, an odd or over-64-bit
-    # label, a spelled probability, a column more or less, a whitespace-only line
+    # a 2- or 3-class header, rows of distinct ids and probabilities summing
+    # to 1 and blank lines, with any line endings; then at most one change: a
+    # wrong header, an id holding quotes, commas or a line end or repeating
+    # the first row's, an odd or over-64-bit label, a spelled probability, a
+    # column more or less, a whitespace-only line
     classes = draw(st.sampled_from([2, 3]))
     header = ["sample_id", "true_label"] + [f"p_{i}" for i in range(classes)]
     lines = [header]
@@ -605,11 +594,12 @@ def _predictions_text(draw):
         if draw(st.integers(0, 3)):
             p = draw(st.integers(0, 2**53)) / 2**53  # mostly 17 digits, some short
             probs = [p, 1.0 - p] if classes == 2 else [p / 2, p / 2, 1.0 - p]
-            lines.append(["s1", draw(st.sampled_from(["0", "1"])), *map(repr, probs)])
+            sid = f"s{sum(len(line) > 1 for line in lines)}"  # s1, s2, ...
+            lines.append([sid, draw(st.sampled_from(["0", "1"])), *map(repr, probs)])
         else:
             lines.append([""])
-    change = draw(st.sampled_from(["none", "header", "id", "label", "prob", "prob", "count",
-                                   "space"]))
+    change = draw(st.sampled_from(["none", "header", "id", "repeat", "label", "prob", "prob",
+                                   "count", "space"]))
     rows = [line for line in lines[1:] if len(line) > 1]
     row = draw(st.sampled_from(rows)) if rows else header[:]  # no row: change a throwaway
     if change == "header":
@@ -617,6 +607,8 @@ def _predictions_text(draw):
                                          ["sample_id", "label", *header[2:]]]))
     elif change == "id":
         row[0] = draw(st.sampled_from(_IDS))
+    elif change == "repeat":
+        row[0] = "s1"  # the first row's id
     elif change == "label":
         row[1] = draw(st.sampled_from(_LABELS))
     elif change == "prob":
