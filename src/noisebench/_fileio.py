@@ -136,9 +136,11 @@ def write_table(path, header, columns):
     `columns`: space-separated, each field the repr of the column's .tolist()
     value, so floats get shortest round-trip decimals. Raises ValueError,
     writing nothing, if any value is not finite, as read_table would reject
-    it."""
+    it, or if the columns differ in length."""
     if not all(np.isfinite(column).all() for column in columns):
         raise ValueError("cannot write a non-finite value, which readers reject")
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError("columns differ in length")
     rows = zip(*(column.tolist() for column in columns))
     with atomic_text(path) as fh:
         fh.write(header + "".join(" ".join(map(repr, row)) + "\n" for row in rows))

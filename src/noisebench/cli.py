@@ -15,7 +15,7 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import NoiseBenchError
+from .errors import NoiseBenchError, UnknownTier
 from .tiers import (DEFAULT_BINS, DEFAULT_NORMAL_K, DEFAULT_QUARTILES, DEFAULT_SENSOR,
                     TIER_NAMES, tier_params)
 
@@ -103,39 +103,34 @@ def build_parser():
     return parser
 
 
+class _UsageError(Exception):
+    """A command line naming no tier or file, or asking for invalid settings."""
+
+
 def _resolve_tier(args):
     """Preset name, or a config file path when the name matches no preset,
-    with the command-line overrides applied; None when neither matches.
-
-    Raises ValueError when an override fails TierConfig validation.
-    """
+    with the command-line overrides applied; _UsageError when neither
+    matches or an override fails TierConfig validation."""
+    if args.tier not in TIER_NAMES and not Path(args.tier).is_file():
+        raise _UsageError(f"{args.tier!r} is neither a preset tier "
+                          f"({', '.join(TIER_NAMES)}) nor a config file")
     from . import pipeline
 
-    if args.tier in TIER_NAMES:
-        config = pipeline.preset_config(args.tier)
-    elif Path(args.tier).is_file():
-        config = pipeline.read_tier_config(args.tier)
-    else:
-        return None
+    config = (pipeline.preset_config(args.tier) if args.tier in TIER_NAMES
+              else pipeline.read_tier_config(args.tier))
     overrides = {"global_seed": args.seed, "normal_k": args.normal_k,
                  "sensor": args.sensor}
-    return dataclasses.replace(
-        config, **{key: val for key, val in overrides.items() if val is not None})
+    try:
+        return dataclasses.replace(
+            config, **{key: val for key, val in overrides.items() if val is not None})
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _cmd_corrupt(args):
+    config = _resolve_tier(args)
     from . import pipeline
 
-    try:
-        config = _resolve_tier(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if config is None:
-        print(f"error: {args.tier!r} is neither a preset tier "
-              f"({', '.join(TIER_NAMES)}) nor a config file",
-              file=sys.stderr)
-        return 2
     manifest = pipeline.read_manifest(args.manifest)
     summary = pipeline.generate_benchmark(
         manifest, config, args.out_dir, threads=args.threads,
@@ -164,9 +159,7 @@ def _cmd_evaluate(args):
 
 def _cmd_stratify(args):
     if len(args.preds) != len(args.sigmas):
-        print("error: --preds and --sigmas must list the same number of files",
-              file=sys.stderr)
-        return 2
+        raise _UsageError("--preds and --sigmas must list the same number of files")
     from . import metrics
 
     tier_sets = []
@@ -189,11 +182,7 @@ def _cmd_stratify(args):
 
 
 def _cmd_params(args):
-    try:
-        params = tier_params(args.tier)
-    except NoiseBenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = tier_params(args.tier)
     for field in dataclasses.fields(params):
         print(f"{field.name}={getattr(params, field.name)!r}")
     return 0
@@ -216,9 +205,9 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (NoiseBenchError, OSError) as exc:
+    except (_UsageError, NoiseBenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (_UsageError, UnknownTier)) else 1
 
 
 if __name__ == "__main__":

@@ -171,11 +171,16 @@ def _rescaled(v):
 
 
 def _sigma_column(preds, sigma_by_id):
-    """Each row's sigma_by_id[sample_id]; MissingSigma lists absent ids."""
+    """Each row's sigma_by_id[sample_id]; MissingSigma lists absent ids, and
+    a non-finite sigma, which read_sigma_summary rejects, is a ValueError."""
     missing = sorted(sid for sid in preds.ids if sid not in sigma_by_id)
     if missing:
         raise MissingSigma(missing)
-    return np.array([sigma_by_id[sid] for sid in preds.ids], dtype=np.float64)
+    sigma = np.array([sigma_by_id[sid] for sid in preds.ids], dtype=np.float64)
+    if not np.isfinite(sigma).all():
+        i = int(np.argmax(~np.isfinite(sigma)))
+        raise ValueError(f"sample {preds.ids[i]!r}: sigma {float(sigma[i])!r} is not finite")
+    return sigma
 
 
 def uncertainty_correlation(preds, sigma_by_id):

@@ -108,8 +108,7 @@ class AnnotatedCloud:
     describe the noise model evaluated on the clean geometry. outlier marks
     points whose coordinates were replaced by bounding-box draws (their
     sigma/mu annotations still describe the pre-replacement geometry). It
-    holds no copy of the clean cloud (the former `clean` field); callers
-    keep their own.
+    holds no copy of the clean cloud; callers keep their own.
     """
 
     corrupted: np.ndarray

@@ -110,7 +110,7 @@ _ANNOTATED_HEADER = "# x y z sigma mu outlier\n"
 
 def write_annotated(path, ann):
     """Write an AnnotatedCloud's corrupted points and per-point annotations."""
-    write_table(path, _ANNOTATED_HEADER, [*ann.corrupted.T, ann.sigma, ann.mu,
+    write_table(path, _ANNOTATED_HEADER, [*_as_cloud(ann.corrupted).T, ann.sigma, ann.mu,
                                           ann.outlier.astype(np.int8)])
 
 
@@ -274,6 +274,8 @@ def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False
     """Corrupt every manifest sample at one tier and write the output tree.
 
     Layout: out_dir/<tier>/<sample_id>.xyzn plus out_dir/<tier>/summary.csv.
+    Sample ids must be distinct plain file names, as read_manifest requires;
+    ValueError otherwise, before out_dir is made or any worker starts.
     Samples run in at most `threads` worker processes (default: the CPUs
     this process may run on, at most 32), started as _start_method says;
     a spawned worker imports the caller's main module, which must then
@@ -298,13 +300,17 @@ def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    entries = sorted(manifest.entries, key=lambda e: e.sample_id)
+    ids = [str(entry.sample_id) for entry in entries]  # as the file names spell them
+    for prev, sid in zip([None, *ids], ids):  # sorted, so a repeat follows its first
+        if sid == prev or not _is_plain_name(sid):
+            raise ValueError(f"sample_id {sid!r} repeats or is not a plain file name")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if threads is None:
         cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         threads = min(32, len(cpus) if cpus else os.cpu_count() or 1)
 
-    entries = sorted(manifest.entries, key=lambda e: e.sample_id)
     rows = []
     failures = []
     with tempfile.TemporaryDirectory(prefix=f".{config.name}.", dir=out_dir) as work, \

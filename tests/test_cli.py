@@ -520,7 +520,8 @@ for argv, code in [(["params", "moderate"], 0), (["--help"], 0),
                                                        "params")),
                    ([], 2), (["params"], 2), (["params", "brutal"], 2),
                    (["evaluate", "p.csv", "s.csv", "--bins", "0"], 2),
-                   (["corrupt", "m.csv", "light", "out", "--sensor", "1,2"], 2)]:
+                   (["corrupt", "m.csv", "light", "out", "--sensor", "1,2"], 2),
+                   (["corrupt", "m.csv", "nope", "out"], 2)]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == code, argv
     check(argv)

@@ -283,6 +283,19 @@ def test_stratified_requires_sigma_for_every_record():
         stratified_ece([(tier, {})], quartiles=1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_metrics_refuse_non_finite_sigma(bad):
+    # read_sigma_summary rejects such a row; a sigma_by_id built in code must
+    # fail too, naming its sample, and not be ranked or reach pearson
+    records = preds([two_class(f"s{i}", 0.6 + 0.05 * i, i != 1) for i in range(4)])
+    sigma = {f"s{i}": 0.01 * (i + 1) for i in range(4)}
+    sigma["s2"] = bad
+    for score in (lambda: evaluate(records, sigma),
+                  lambda: stratified_ece([(records, sigma)], quartiles=2)):
+        with pytest.raises(ValueError, match="'s2'"):
+            score()
+
+
 def test_evaluate_full_report():
     confs = [0.9, 0.8, 0.7, 0.95]
     records = preds([two_class(f"s{i}", c, correct=(i != 1))

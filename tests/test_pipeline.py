@@ -8,6 +8,7 @@ import importlib.util
 import multiprocessing
 import os
 import pickle
+import re
 import signal
 import struct
 import subprocess
@@ -27,13 +28,13 @@ from numpy.testing import assert_array_equal
 
 from conftest import tree_digest, unit_sphere_cloud, write_benchmark_manifest
 from noisebench import (DEFAULT_NORMAL_K, AnnotatedCloud, DegenerateRay, EmptyCloud,
-                        EmptyInput, GenerationError, InsufficientPoints, MissingSigma,
-                        NoiseBenchError, NoiseParams, ParseError, Predictions, TIER_NAMES,
-                        TierConfig, TooFewValues, UnknownTier, ZeroVariance, corrupt_cloud,
-                        generate_benchmark, preset_config, read_annotated, read_cloud,
-                        read_manifest, read_predictions, read_sigma_summary,
-                        read_tier_config, sample_seed, tier_params, write_annotated,
-                        write_cloud)
+                        EmptyInput, GenerationError, InsufficientPoints, Manifest,
+                        MissingSigma, NoiseBenchError, NoiseParams, ParseError, Predictions,
+                        SampleEntry, TIER_NAMES, TierConfig, TooFewValues, UnknownTier,
+                        ZeroVariance, corrupt_cloud, generate_benchmark, preset_config,
+                        read_annotated, read_cloud, read_manifest, read_predictions,
+                        read_sigma_summary, read_tier_config, sample_seed, tier_params,
+                        write_annotated, write_cloud)
 from noisebench import _fileio, pipeline
 from noisebench.cli import main
 
@@ -240,6 +241,15 @@ def test_writers_refuse_non_finite(tmp_path):
                         tier_params("light"), k=8, seed=1)
     ann.sigma[9] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
+        write_annotated(tmp_path / "sample.xyzn", ann)
+    # nor rows of another width, nor fewer rows than the cloud has points
+    flat = AnnotatedCloud(np.zeros((5, 2)), *np.zeros((6, 5)))
+    with pytest.raises(ValueError, match=r"shape \(n, 3\)"):
+        write_annotated(tmp_path / "sample.xyzn", flat)
+    ann = corrupt_cloud(unit_sphere_cloud(64, seed=42), (0.0, -2.0, 0.0),
+                        tier_params("light"), k=8, seed=1)
+    ann.sigma = ann.sigma[:5]
+    with pytest.raises(ValueError, match="differ in length"):
         write_annotated(tmp_path / "sample.xyzn", ann)
     assert list(tmp_path.iterdir()) == []
 
@@ -580,19 +590,26 @@ _LABELS = ("0", "1", " 1", "+1", "0_1", "\u0661", "\x1c1", "-1", "x", "1.0", "",
 _IDS = ("a", "", "\xe9", '"a,b"', '"a,b,c"', '"q""t"', 'x"y', '"x\ny"', "a\x00", "a\x1c", "x" * 41)
 
 
+# the longest header line _predictions_text draws: 3 classes, a column more, "\r\n"
+_LONGEST_HEADER = len("sample_id,true_label,p_0,p_1,p_2,p_x\r\n")
+
+
 @st.composite
 def _predictions_text(draw):
     # a 2- or 3-class header, rows of distinct ids and probabilities summing
     # to 1 and blank lines, with any line endings; then at most one change: a
     # wrong header, an id holding quotes, commas or a line end or repeating
     # the first row's, an odd or over-64-bit label, a spelled probability, a
-    # column more or less, a whitespace-only line
+    # column more or less, a whitespace-only line. Half the files hold only
+    # short probabilities (k/8), so their rows fit a low field size limit
     classes = draw(st.sampled_from([2, 3]))
     header = ["sample_id", "true_label"] + [f"p_{i}" for i in range(classes)]
     lines = [header]
+    short = draw(st.booleans())
     for _ in range(draw(st.integers(0, 5))):
         if draw(st.integers(0, 3)):
-            p = draw(st.integers(0, 2**53)) / 2**53  # mostly 17 digits, some short
+            # k/8 in a short file, else mostly 17 digits
+            p = draw(st.integers(0, 8)) / 8 if short else draw(st.integers(0, 2**53)) / 2**53
             probs = [p, 1.0 - p] if classes == 2 else [p / 2, p / 2, 1.0 - p]
             sid = f"s{sum(len(line) > 1 for line in lines)}"  # s1, s2, ...
             lines.append([sid, draw(st.sampled_from(["0", "1"])), *map(repr, probs)])
@@ -627,7 +644,7 @@ def _predictions_text(draw):
     return "".join(text)
 
 
-@pytest.mark.parametrize("limit", [None, 8, 40])
+@pytest.mark.parametrize("limit", [None, _LONGEST_HEADER + 1, 40])
 @settings(max_examples=300, deadline=None)
 @given(text=_predictions_text())
 @example(text="sample_id,true_label,p_0,p_1\ns,0,1,0\n")
@@ -1099,6 +1116,18 @@ def test_generate_benchmark_rejects_zero_threads(tmp_path):
     with pytest.raises(ValueError):
         generate_benchmark(manifest, preset_config("light"), tmp_path / "out", threads=0)
     assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("ids", [["../../../escaped"], ["a", "a"]])
+def test_generate_benchmark_refuses_ids_read_manifest_rejects(tmp_path, ids):
+    # a Manifest built in code must not write outside the output tree, nor a
+    # summary.csv that read_sigma_summary rejects
+    write_cloud(tmp_path / "clouds" / "a.xyz", unit_sphere_cloud(48, seed=68))
+    manifest = Manifest([SampleEntry(sid, 0, "clouds/a.xyz") for sid in ids], tmp_path)
+    with pytest.raises(ValueError, match=re.escape(repr(ids[-1]))):
+        generate_benchmark(manifest, preset_config("light"), tmp_path / "out" / "deep",
+                           threads=1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clouds"]
 
 
 def test_generate_benchmark_tier_dir_applies_umask(tmp_path):
