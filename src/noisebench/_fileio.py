@@ -1,9 +1,9 @@
 """Internal helpers for the text formats: numpy's C parse of numeric text,
 streaming line-numbered readers that raise ParseError at a file line, atomic
-writers and round-trip float formatting. The C parse (c_table) comes first;
-the line-numbered readers alone raise errors, and read every file it refuses.
-Values are identical: every field it takes, float() takes, and both parse it
-with PyOS_string_to_double.
+writers and round-trip float formatting. The C parse (c_table) comes first,
+as metrics' csv-free read of sigma summaries does; the line-numbered readers
+alone raise errors and read every file they refuse. Values are identical:
+every field c_table takes, float() takes, both with PyOS_string_to_double.
 """
 
 import csv

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 data or runtime failure, 2 usage error.
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -111,7 +112,8 @@ def _resolve_tier(args):
     """Preset name, or a config file path when the name matches no preset,
     with the command-line overrides applied; _UsageError when neither
     matches or an override fails TierConfig validation."""
-    if args.tier not in TIER_NAMES and not Path(args.tier).is_file():
+    # os.path.isfile is False, where Path.is_file raises, for a name too long
+    if args.tier not in TIER_NAMES and not os.path.isfile(args.tier):
         raise _UsageError(f"{args.tier!r} is neither a preset tier "
                           f"({', '.join(TIER_NAMES)}) nor a config file")
     from . import pipeline

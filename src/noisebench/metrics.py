@@ -335,45 +335,65 @@ def read_predictions(path):
                          line=None if row is None else lines[row]) from None
 
 
-def _plain_line(line, limit):
-    """True when csv.reader would read `line` as one record split at every ",":
-    no '"', no NUL (rejected before Python 3.11), within csv's field size `limit`."""
-    return '"' not in line and "\0" not in line and len(line) <= limit
+def _plain_lines(path, header_ok):
+    """Yield the header, then each non-blank line, of `path` read with
+    universal newlines, which end lines where csv_rows ends records, as "\n".
+    ValueError leaves the file to csv_rows: bad UTF-8, a header header_ok
+    refuses, or a line csv.reader may not split at each "," alone: one with
+    '"', NUL (refused before Python 3.11) or past csv's field size limit."""
+    limit = csv.field_size_limit()
+    with open(path, encoding="utf-8") as fh:
+        header = next(fh, "")
+        if len(header) > limit or not header_ok(header.rstrip("\n").split(",")):
+            raise ValueError("not a plain header")
+        yield header
+        for line in fh:
+            if line != "\n":  # a blank line holds no row
+                if '"' in line or "\0" in line or len(line) > limit:
+                    raise ValueError("not a plain line")
+                yield line
 
 
 def _c_predictions(path):
-    """read_predictions of a file of plain lines (_plain_line) with distinct
-    ids that it accepts, with numpy's C reader parsing the text after each
-    row's true_label; None for any other file."""
-    limit, ids, labels, tails = csv.field_size_limit(), [], [], []
+    """read_predictions of a file _plain_lines reads, with distinct ids, by
+    numpy's C reader after each true_label; None for any other file."""
+    ids, labels, tails = [], [], []
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            header = next(fh, '"')
-            if not (_plain_line(header, limit)
-                    and _predictions_header(header.rstrip("\r\n").split(","))):
-                return None
-            for line in fh:
-                if line[0] in "\r\n":  # a blank line holds no row
-                    continue
-                if not _plain_line(line, limit):
-                    return None
-                sid, label, tail = line.split(",", 2)
-                ids.append(sid)
-                labels.append(int(label))
-                tails.append(tail)
-        if len(set(ids)) < len(ids):  # csv_rows reports the repeat at its line
-            return None
-        probs = c_table(tails, header.count(",") - 1, ",")
+        lines = _plain_lines(path, _predictions_header)
+        classes = next(lines).count(",") - 1
+        for sid, label, tail in (line.split(",", 2) for line in lines):
+            ids.append(sid)
+            labels.append(int(label))
+            tails.append(tail)
+        # a repeated id is csv_rows' to report, at its line
+        probs = c_table(tails, classes, ",") if len(set(ids)) == len(ids) else None
         return None if probs is None else Predictions(ids, np.array(labels, np.int64), probs)
     except (ValueError, OverflowError):  # bad UTF-8, row, label or probabilities
         return None
 
 
+def _summary_header(header):
+    return tuple(header) == SUMMARY_HEADER
+
+
 def read_sigma_summary(path):
-    """Parse a sigma summary CSV into {sample_id: mean_sigma}."""
+    """Parse a sigma summary CSV into {sample_id: mean_sigma}. A file
+    _plain_lines reads, with distinct ids and finite sigmas, is read without
+    csv; csv_rows reads any other and reports its fault at its line."""
     table = {}
-    for lineno, row in csv_rows(path, "summary",
-                                lambda header: tuple(header) == SUMMARY_HEADER):
+    try:
+        lines = _plain_lines(path, _summary_header)
+        next(lines)
+        for sid, _, sigma, _, _ in (line.split(",") for line in lines):
+            if sid in table:
+                raise ValueError(f"duplicate sample_id {sid!r}")
+            table[sid] = float(sigma)
+        if table and all(map(math.isfinite, table.values())):
+            return table
+    except ValueError:  # bad UTF-8, line, column count, sigma or a repeated id
+        pass
+    table = {}
+    for lineno, row in csv_rows(path, "summary", _summary_header):
         try:
             sigma = float(row[2])
         except ValueError:

@@ -5,8 +5,9 @@ lines in all but the CSV formats; float fields must be finite; a bad line
 is a ParseError citing its file line (for CSV, where its record starts).
 Each CSV format (manifest, sigma summary, predictions) starts with a
 sample_id column, whose values must not repeat within a file.
-Point files and probabilities go through numpy's C reader first; the
-line-numbered reader alone raises errors and reads what it refuses (_fileio).
+Point files and probabilities go through numpy's C reader first, sigma
+summaries through float() without csv; the line-numbered reader alone raises
+errors and reads what they refuse (_fileio, metrics).
 
   clean cloud     one point per line, "x y z"
   annotated cloud header "# x y z sigma mu outlier", then one point per

@@ -142,6 +142,13 @@ def test_corrupt_unknown_tier_exit_2(tmp_path, capsys):
     assert "preset tier" in capsys.readouterr().err
 
 
+def test_corrupt_long_tier_name_exit_2(tmp_path, capsys):
+    # a name past the file system's limit is no config file, not an OSError
+    manifest = write_benchmark_manifest(tmp_path, 1, 48, seed=83)
+    assert main(["corrupt", str(manifest), "x" * 300, str(tmp_path / "out")]) == 2
+    assert "is neither a preset tier" in capsys.readouterr().err
+
+
 def test_corrupt_missing_cloud_fails(tmp_path, capsys):
     manifest = write_benchmark_manifest(tmp_path, 2, 48, seed=84)
     with open(manifest, "a", encoding="utf-8") as fh:

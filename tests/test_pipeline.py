@@ -429,6 +429,26 @@ def test_repeated_sample_id_fails_at_its_line(tmp_path, kind, first):
     assert str(info.value) == f"{path}:3: duplicate sample_id 'a'"
 
 
+@pytest.mark.parametrize("kind, limit, row", [("predictions", 9, "a,0,1,0"),
+                                             ("summary", 12, "a,0,0.5,0,0")])
+def test_header_field_past_field_size_limit_fails_at_line_1(tmp_path, kind, limit, row):
+    # a header field ("true_label", "outlier_count") is past csv's field size
+    # limit and every row line within it: the csv-free path must leave the
+    # file to csv_rows, which refuses the header
+    read, header, _ = _CSV_FORMATS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(f"{header}\n{row}\n")
+    old = csv.field_size_limit()
+    try:
+        csv.field_size_limit(limit)
+        with pytest.raises(ParseError) as info:
+            read(path)
+    finally:
+        csv.field_size_limit(old)
+    assert str(info.value) == \
+        f"{path}:1: malformed CSV (field larger than field limit ({limit}))"
+
+
 def _read_table_reference(path, width):
     """read_table as the line-numbered reader alone, with float() parsing every
     field; returns (file lines, table)."""
@@ -495,11 +515,14 @@ def _read_predictions_reference(path):
 
 def _read_outcome(read, path):
     """The arrays read(path) returns, as dtype, shape and bytes (a Predictions
-    as its ids, labels and probs), or its exception's type, message and line."""
+    as its ids, labels and probs), the (key, repr(value)) pairs of a dict it
+    returns, or its exception's type, message and line."""
     try:
         got = read(path)
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
+    if isinstance(got, dict):  # a sigma summary, each value by its repr
+        return [(key, repr(value)) for key, value in got.items()]
     if isinstance(got, Predictions):
         got = (got.ids, got.labels, got.probs)
     return [(a.dtype.str, a.shape, a.tolist() if a.dtype == object else a.tobytes())
@@ -644,13 +667,14 @@ def _predictions_text(draw):
     return "".join(text)
 
 
-@pytest.mark.parametrize("limit", [None, _LONGEST_HEADER + 1, 40])
+@pytest.mark.parametrize("limit", [None, _LONGEST_HEADER + 1])
 @settings(max_examples=300, deadline=None)
 @given(text=_predictions_text())
 @example(text="sample_id,true_label,p_0,p_1\ns,0,1,0\n")
+@example(text="sample_id,true_label,p_0,p_1\n" + "x" * 41 + ",0,1,0\n")
 def test_read_predictions_matches_line_reader(tmp_path_factory, limit, text):
     # the C parse first changes no value, error, message or line, also where
-    # csv's field size limit is below a field of the header or of a row
+    # csv's field size limit is below a row's line or field (an id of 41 x's)
     path = tmp_path_factory.mktemp("preds") / "p.csv"
     path.write_bytes(text.encode("utf-8"))
     old = csv.field_size_limit()
@@ -659,6 +683,97 @@ def test_read_predictions_matches_line_reader(tmp_path_factory, limit, text):
             csv.field_size_limit(limit)
         assert _read_outcome(read_predictions, path) == \
             _read_outcome(_read_predictions_reference, path)
+    finally:
+        csv.field_size_limit(old)
+
+
+def _read_sigma_summary_reference(path):
+    """read_sigma_summary as csv_rows with float() parsing every sigma."""
+    table = {}
+    for lineno, row in _fileio.csv_rows(path, "summary",
+                                        lambda header: tuple(header) == _fileio.SUMMARY_HEADER):
+        try:
+            sigma = float(row[2])
+        except ValueError:
+            sigma = float("nan")
+        if not np.isfinite(sigma):
+            raise ParseError(f"bad mean_sigma {row[2]!r}", path=path, line=lineno)
+        table[row[0]] = sigma
+    if not table:
+        raise EmptyInput(f"{path}: no summary rows")
+    return table
+
+
+# sigma spellings float() rejects or reads as non-finite, with an information
+# separator at an end, quoted (csv unquotes '"0.5"'), with a NUL, or longer
+# than the low field size limit
+_SIGMAS = ("nan", "inf", "-Infinity", "1e400", "x", "", "\x1c0.5", "0.5\x1f", "\x1d0.5\x1e",
+           '"0.5"', " 0.5", "0_0.5", "\u0660.\u0665", "0.5\x00", "0.5" + "0" * 60, "0x1p-1")
+# the longest header line _summary_text draws: a column more, "\r\n"
+_LONGEST_SUMMARY_HEADER = len(",".join(_fileio.SUMMARY_HEADER) + ",x\r\n")
+
+
+@st.composite
+def _summary_text(draw):
+    # a summary header, rows of distinct ids and finite sigmas and blank
+    # lines, with any line endings; then at most one change: a wrong header,
+    # an id holding quotes, commas, a NUL or a line end, or repeating the
+    # first row's, a spelled sigma, a quoted field, a column more or less, a
+    # whitespace-only line. Half the files hold only short sigmas (k/64)
+    lines = [list(_fileio.SUMMARY_HEADER)]
+    floats = st.integers(0, 64).map(lambda k: k / 64) if draw(st.booleans()) else _FINITE
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 3)):
+            sigma, mu = draw(st.lists(floats, min_size=2, max_size=2))
+            sid = f"s{sum(len(line) > 1 for line in lines)}"  # s1, s2, ...
+            lines.append([sid, draw(st.sampled_from(["0", "39"])), repr(sigma), repr(mu),
+                          draw(st.sampled_from(["0", "12"]))])
+        else:
+            lines.append([""])
+    change = draw(st.sampled_from(["none", "header", "id", "repeat", "sigma", "sigma", "quote",
+                                   "count", "space"]))
+    rows = [line for line in lines[1:] if len(line) > 1]
+    row = draw(st.sampled_from(rows)) if rows else lines[0][:]  # no row: change a throwaway
+    if change == "header":
+        lines[0] = draw(st.sampled_from([lines[0][:-1], lines[0] + ["x"],
+                                         ["sample_id", "label", "sigma", *lines[0][3:]]]))
+    elif change == "id":
+        row[0] = draw(st.sampled_from(_IDS + ("x" * 60,)))
+    elif change == "repeat":
+        row[0] = "s1"  # the first row's id
+    elif change == "sigma":
+        row[2] = draw(st.sampled_from(_SIGMAS))
+    elif change == "quote":
+        line = draw(st.sampled_from([lines[0], row]))
+        i = draw(st.integers(0, len(line) - 1))
+        line[i] = f'"{line[i]}"'
+    elif change == "count":
+        row[-1:] = [] if draw(st.booleans()) else [row[-1], "0"]
+    elif change == "space":
+        lines.insert(draw(st.integers(1, len(lines))), [draw(st.sampled_from([" ", "\t"]))])
+    text = []
+    for line in lines:
+        text += [",".join(line), draw(st.sampled_from(_ENDS))]
+    if draw(st.booleans()):
+        text.pop()  # no ending on the last line
+    return "".join(text)
+
+
+@pytest.mark.parametrize("limit", [None, _LONGEST_SUMMARY_HEADER + 1])
+@settings(max_examples=200, deadline=None)
+@given(text=_summary_text())
+@example(text=",".join(_fileio.SUMMARY_HEADER) + "\ns1,0,0.5" + "0" * 60 + ",0.1,0\n")
+def test_read_sigma_summary_matches_line_reader(tmp_path_factory, limit, text):
+    # the plain-line path first changes no value, error, message or line, also
+    # where csv's field size limit is below a row's line or field
+    path = tmp_path_factory.mktemp("summary") / "s.csv"
+    path.write_bytes(text.encode("utf-8"))
+    old = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        assert _read_outcome(read_sigma_summary, path) == \
+            _read_outcome(_read_sigma_summary_reference, path)
     finally:
         csv.field_size_limit(old)
 
