@@ -1,15 +1,15 @@
 """Internal helpers for the text formats: numpy's C parse of numeric text,
 streaming line-numbered readers that raise ParseError at a file line, atomic
-writers and round-trip float formatting. The C parse (c_table) comes first,
-as metrics' csv-free read of sigma summaries does; the line-numbered readers
-alone raise errors and read every file they refuse. Values are identical:
-every field c_table takes, float() takes, both with PyOS_string_to_double.
+writers and round-trip float formatting. The C parse (c_table) comes first and
+the line-numbered readers read what it refuses; both only parse, and a format's
+value rules run once on either's rows, finding a bad row's line by row_line.
+Values are identical: float() and c_table both use PyOS_string_to_double.
 """
 
 import csv
 import os
 from contextlib import contextmanager
-from itertools import chain, dropwhile
+from itertools import chain, dropwhile, islice
 from pathlib import Path
 
 import numpy as np
@@ -80,12 +80,7 @@ def data_lines(path):
 def c_table(lines, width, delimiter=None):
     """The (n, width) float64 table numpy's C reader parses from `lines` (an
     open file, or a list), split at whitespace or `delimiter`, skipping blank
-    lines; None if it refuses them or the table is empty or not all finite,
-    or, with a delimiter, a line holds U+001C..U+001F, which the C reader
-    strips from a field's ends and float() does not."""
-    if delimiter and any("\x1c" in s or "\x1d" in s or "\x1e" in s or "\x1f" in s
-                         for s in lines):
-        return None
+    lines; None if it refuses them or they hold no row."""
     # a first row of `width` zeros, dropped, holds every row to that width
     # (loadtxt refuses a changed field count) and keeps it from warning on no data
     first = (delimiter or " ").join("0" * width)
@@ -94,7 +89,13 @@ def c_table(lines, width, delimiter=None):
                            delimiter=delimiter, encoding="utf-8", ndmin=2)[1:]
     except ValueError:  # a bad field, a changed field count, or bad UTF-8
         return None
-    return table if table.size and np.isfinite(table).all() else None
+    return table if table.size else None
+
+
+def row_line(rows, i):
+    """The file line of row i: the line of the i-th (file line, row) pair
+    that `rows` (data_lines or csv_rows) yields."""
+    return next(islice(rows, i, None))[0]
 
 
 def read_table(path, width):
@@ -107,27 +108,24 @@ def read_table(path, width):
     with open(path, encoding="utf-8") as fh:
         # leading '#' lines are data_lines' comments, not the C reader's
         table = c_table(dropwhile(lambda line: line.lstrip().startswith("#"), fh), width)
-    if table is not None:
-        return table
-    lines, values = [], []
-    for lineno, line in data_lines(path):
-        fields = line.split()
-        if len(fields) != width:
-            raise ParseError(f"expected {width} fields, got {len(fields)}",
-                             path=path, line=lineno)
-        try:
-            values.extend(map(float, fields))
-        except ValueError:
-            raise ParseError(f"bad float in {fields!r}", path=path, line=lineno) from None
-        lines.append(lineno)
-    if not lines:
-        raise EmptyCloud(f"{path}: no points")
-    table = np.array(values, dtype=np.float64).reshape(-1, width)
-    bad = ~np.isfinite(table).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
+    if table is None:
+        values = []
+        for lineno, line in data_lines(path):
+            fields = line.split()
+            if len(fields) != width:
+                raise ParseError(f"expected {width} fields, got {len(fields)}",
+                                 path=path, line=lineno)
+            try:
+                values.extend(map(float, fields))
+            except ValueError:
+                raise ParseError(f"bad float in {fields!r}", path=path, line=lineno) from None
+        if not values:
+            raise EmptyCloud(f"{path}: no points")
+        table = np.array(values, dtype=np.float64).reshape(-1, width)
+    if not np.isfinite(table).all():
+        i = int(np.argmax(~np.isfinite(table).all(axis=1)))
         raise ParseError(f"non-finite value in {table[i].tolist()!r}",
-                         path=path, line=lines[i])
+                         path=path, line=row_line(data_lines(path), i))
     return table
 
 

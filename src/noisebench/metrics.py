@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._fileio import SUMMARY_HEADER, atomic_text, c_table, csv_rows, fmt, write_csv
+from ._fileio import SUMMARY_HEADER, atomic_text, c_table, csv_rows, fmt, row_line, write_csv
 from .errors import (EmptyInput, MissingSigma, ParseError, TooFewValues,
                      ZeroVariance)
 from .tiers import DEFAULT_BINS, DEFAULT_QUARTILES
@@ -308,31 +308,28 @@ def read_predictions(path):
 
     A row that fails Predictions validation is reported at its file line.
     """
-    preds = _c_predictions(path)
-    if preds is not None:
-        return preds
-    lines, ids, labels, flat = [], [], [], []
-    for lineno, row in csv_rows(path, "predictions", _predictions_header):
-        try:
-            labels.append(int(row[1]))
-            if not -2**63 <= labels[-1] < 2**63:
-                # out of range for any class count; Predictions holds the range rule
-                raise ParseError(f"true_label {row[1]} does not fit in 64 bits",
-                                 path=path, line=lineno)
-            flat.extend(map(float, row[2:]))
-        except ValueError as exc:
-            raise ParseError(str(exc), path=path, line=lineno) from None
-        lines.append(lineno)
-        ids.append(row[0])
-    if not lines:
-        raise EmptyInput(f"{path}: no prediction rows")
+    columns = _c_predictions(path)
+    if columns is None:
+        ids, labels, flat = [], [], []
+        for lineno, row in csv_rows(path, "predictions", _predictions_header):
+            try:
+                labels.append(int(row[1]))
+                if not -2**63 <= labels[-1] < 2**63:
+                    # out of range for any class count; Predictions holds the range rule
+                    raise ParseError(f"true_label {row[1]} does not fit in 64 bits",
+                                     path=path, line=lineno)
+                flat.extend(map(float, row[2:]))
+            except ValueError as exc:
+                raise ParseError(str(exc), path=path, line=lineno) from None
+            ids.append(row[0])
+        if not ids:
+            raise EmptyInput(f"{path}: no prediction rows")
+        columns = ids, np.array(labels, dtype=np.int64), np.array(flat).reshape(len(ids), -1)
     try:
-        return Predictions(ids, np.array(labels, dtype=np.int64),
-                           np.array(flat).reshape(len(lines), -1))
-    except ValueError as exc:
-        row = getattr(exc, "row", None)
-        raise ParseError(str(exc), path=path,
-                         line=None if row is None else lines[row]) from None
+        return Predictions(*columns)
+    except InvalidRow as exc:  # either parser's rows are csv_rows' rows
+        rows = csv_rows(path, "predictions", _predictions_header)
+        raise ParseError(str(exc), path=path, line=row_line(rows, exc.row)) from None
 
 
 def _plain_lines(path, header_ok):
@@ -355,8 +352,8 @@ def _plain_lines(path, header_ok):
 
 
 def _c_predictions(path):
-    """read_predictions of a file _plain_lines reads, with distinct ids, by
-    numpy's C reader after each true_label; None for any other file."""
+    """read_predictions' (ids, labels, probs) of a file _plain_lines reads,
+    by numpy's C reader after each true_label; None for any other file."""
     ids, labels, tails = [], [], []
     try:
         lines = _plain_lines(path, _predictions_header)
@@ -365,10 +362,14 @@ def _c_predictions(path):
             ids.append(sid)
             labels.append(int(label))
             tails.append(tail)
-        # a repeated id is csv_rows' to report, at its line
-        probs = c_table(tails, classes, ",") if len(set(ids)) == len(ids) else None
-        return None if probs is None else Predictions(ids, np.array(labels, np.int64), probs)
-    except (ValueError, OverflowError):  # bad UTF-8, row, label or probabilities
+        # a repeated id is csv_rows' to report, at its line; the C reader
+        # strips U+001C..U+001F from a field's ends, and float() does not
+        if len(set(ids)) < len(ids) or any("\x1c" in s or "\x1d" in s or "\x1e" in s
+                                           or "\x1f" in s for s in tails):
+            return None
+        probs = c_table(tails, classes, ",")
+        return None if probs is None else (ids, np.array(labels, np.int64), probs)
+    except (ValueError, OverflowError):  # bad UTF-8, row or label
         return None
 
 

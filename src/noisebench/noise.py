@@ -23,7 +23,7 @@ import numpy as np
 
 from .geometry import (estimate_normals, incidence_cosine, range_to_sensor, _as_cloud,
                        _as_vec3, _unit_rays)
-from .tiers import NoiseParams, _check_seed
+from .tiers import DEFAULT_NORMAL_K, NoiseParams, _check_seed
 
 # purpose tags for per-sample random substreams; each purpose gets its own
 # counter-based stream so draws are indexed by (point order, purpose) and
@@ -152,7 +152,7 @@ def _substream(seed, purpose):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def corrupt_cloud(points, sensor, params, k=16, seed=0):
+def corrupt_cloud(points, sensor, params, k=DEFAULT_NORMAL_K, seed=0):
     """Apply the full noise model to a clean cloud.
 
     Stages: estimate normals on the clean cloud (k nearest neighbors),

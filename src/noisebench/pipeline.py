@@ -5,9 +5,9 @@ lines in all but the CSV formats; float fields must be finite; a bad line
 is a ParseError citing its file line (for CSV, where its record starts).
 Each CSV format (manifest, sigma summary, predictions) starts with a
 sample_id column, whose values must not repeat within a file.
-Point files and probabilities go through numpy's C reader first, sigma
-summaries through float() without csv; the line-numbered reader alone raises
-errors and reads what they refuse (_fileio, metrics).
+Point files and probabilities go through numpy's C reader first, and the
+line-numbered reader reads what it refuses; both only parse, and each format's
+value rules run once, on either's rows (_fileio, metrics).
 
   clean cloud     one point per line, "x y z"
   annotated cloud header "# x y z sigma mu outlier", then one point per
@@ -30,13 +30,12 @@ import struct
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from ._fileio import (SUMMARY_HEADER, csv_rows, data_lines, fmt, read_table,
+from ._fileio import (SUMMARY_HEADER, csv_rows, data_lines, fmt, read_table, row_line,
                       write_csv, write_table)
 from .errors import GenerationError, ParseError
 from .geometry import _as_cloud, _as_vec3
@@ -131,9 +130,8 @@ def read_annotated(path):
     bad = (flag != 0.0) & (flag != 1.0)
     if bad.any():
         i = int(np.argmax(bad))
-        lineno = next(islice(data_lines(path), i, None))[0]  # row i is data line i
         raise ParseError(f"outlier flag must be 0 or 1, got {float(flag[i])!r}",
-                         path=path, line=lineno)
+                         path=path, line=row_line(data_lines(path), i))
     return AnnotatedColumns(points=table[:, :3], sigma=table[:, 3], mu=table[:, 4],
                             outlier=flag == 1.0)
 

@@ -427,10 +427,12 @@ def test_read_predictions_errors(tmp_path):
         read_predictions(short_row)
     assert info.value.line == 2
 
+    # a quoted header sends the file to the csv reader, which finds no row
     empty = tmp_path / "e.csv"
-    empty.write_text("sample_id,true_label,p_0,p_1\n")
-    with pytest.raises(EmptyInput):
-        read_predictions(empty)
+    for header in ("sample_id,true_label,p_0,p_1\n", '"sample_id",true_label,p_0,p_1\n'):
+        empty.write_text(header)
+        with pytest.raises(EmptyInput):
+            read_predictions(empty)
 
 
 def test_read_predictions_reports_first_bad_line(tmp_path):

@@ -35,7 +35,7 @@ from noisebench import (DEFAULT_NORMAL_K, AnnotatedCloud, DegenerateRay, EmptyCl
                         read_annotated, read_cloud, read_manifest, read_predictions,
                         read_sigma_summary, read_tier_config, sample_seed, tier_params,
                         write_annotated, write_cloud)
-from noisebench import _fileio, pipeline
+from noisebench import _fileio, metrics, pipeline
 from noisebench.cli import main
 
 
@@ -128,7 +128,7 @@ def test_read_cloud_errors(tmp_path):
 
     # numpy's C reader warns on a file with no data; no warning gets out
     empty = tmp_path / "empty.xyz"
-    for text in ("# nothing here\n", "", "\n \t\r\n\r"):
+    for text in ("# nothing here\n", "", "\n \t\r\n\r", "\n# mid\n"):
         empty.write_text(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -188,6 +188,36 @@ def test_read_cloud_rejects_non_finite(tmp_path, token):
     with pytest.raises(ParseError) as info:
         read_cloud(path)
     assert info.value.line == 3
+
+
+def test_value_errors_found_by_the_c_reader_parse_once(tmp_path, monkeypatch):
+    # a value rule broken in a file the C reader takes is reported at its
+    # line by reading the file up to that row, not by parsing all of it again
+    yielded = {}
+
+    def counted(reader):
+        def wrapper(*args):
+            for item in reader(*args):
+                yielded[reader.__name__] = yielded.get(reader.__name__, 0) + 1
+                yield item
+        return wrapper
+
+    monkeypatch.setattr(_fileio, "data_lines", counted(_fileio.data_lines))
+    monkeypatch.setattr(metrics, "csv_rows", counted(metrics.csv_rows))
+    cloud = tmp_path / "nan.xyz"
+    cloud.write_text("".join(f"{i} {'nan' if i == 2 else 0} 1\n" for i in range(50)))
+    preds = tmp_path / "sum.csv"
+    preds.write_text("sample_id,true_label,p_0,p_1\n" + "".join(
+        f"s{i},0,{p},{p}\n" for i, p in enumerate([0.5, 0.5, 0.75] + [0.5] * 47)))
+    for read, path, message in (
+            (read_cloud, cloud, f"{cloud}:3: non-finite value in [2.0, nan, 1.0]"),
+            (read_predictions, preds, f"{preds}:4: row 2 (sample 's2'): need finite "
+             "probabilities >= 0 summing to 1 and 0 <= true_label < 2, got sum 1.5, min "
+             "0.75, true_label 0")):
+        with pytest.raises(ParseError) as info:
+            read(path)
+        assert str(info.value) == message
+    assert yielded == {"data_lines": 3, "csv_rows": 3}
 
 
 _EDGE_FLOATS = (-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308)
@@ -672,6 +702,7 @@ def _predictions_text(draw):
 @given(text=_predictions_text())
 @example(text="sample_id,true_label,p_0,p_1\ns,0,1,0\n")
 @example(text="sample_id,true_label,p_0,p_1\n" + "x" * 41 + ",0,1,0\n")
+@example(text='"sample_id",true_label,p_0,p_1\n')
 def test_read_predictions_matches_line_reader(tmp_path_factory, limit, text):
     # the C parse first changes no value, error, message or line, also where
     # csv's field size limit is below a row's line or field (an id of 41 x's)
