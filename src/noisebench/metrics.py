@@ -368,7 +368,10 @@ def _c_predictions(path):
                                            or "\x1f" in s for s in tails):
             return None
         probs = c_table(tails, classes, ",")
-        return None if probs is None else (ids, np.array(labels, np.int64), probs)
+        # the C reader skips an empty tail ("b,1,"), which csv_rows reports
+        if probs is None or len(probs) != len(ids):
+            return None
+        return ids, np.array(labels, np.int64), probs
     except (ValueError, OverflowError):  # bad UTF-8, row or label
         return None
 

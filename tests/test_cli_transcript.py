@@ -1,7 +1,7 @@
 """The CLI contract as a transcript: each case of cli_transcript.txt runs
 cli.main in a temporary directory holding FILES, and must give exactly the
-exit code, stdout and stderr written there. No case may take a BLAS path, so
-the transcript holds for every kernel OpenBLAS picks."""
+exit code, stdout and stderr written there. No checked output may depend on
+a BLAS result, so the transcript holds for every kernel OpenBLAS picks."""
 
 import shlex
 from pathlib import Path

@@ -391,6 +391,14 @@ def test_read_predictions_errors(tmp_path):
         read_predictions(after_blank)
     assert info.value.line == 5
 
+    # a row with no probability at all, with and without a final line end
+    for tail in ("\n", ""):
+        no_probs = tmp_path / "e.csv"
+        no_probs.write_text(f"sample_id,true_label,p_0,p_1\na,0,0.5,0.5\nb,1,{tail}")
+        with pytest.raises(ParseError, match="expected 4 columns, got 3") as info:
+            read_predictions(no_probs)
+        assert info.value.line == 3
+
     # a quoted id spanning two lines: errors cite the line a record starts on
     multiline = tmp_path / "q.csv"
     multiline.write_text('sample_id,true_label,p_0,p_1\n'

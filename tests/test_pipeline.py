@@ -653,8 +653,9 @@ def _predictions_text(draw):
     # to 1 and blank lines, with any line endings; then at most one change: a
     # wrong header, an id holding quotes, commas or a line end or repeating
     # the first row's, an odd or over-64-bit label, a spelled probability, a
-    # column more or less, a whitespace-only line. Half the files hold only
-    # short probabilities (k/8), so their rows fit a low field size limit
+    # column more, one less or none, a whitespace-only line. Half the files
+    # hold only short probabilities (k/8), so their rows fit a low field size
+    # limit
     classes = draw(st.sampled_from([2, 3]))
     header = ["sample_id", "true_label"] + [f"p_{i}" for i in range(classes)]
     lines = [header]
@@ -686,7 +687,8 @@ def _predictions_text(draw):
         i = draw(st.integers(2, len(row) - 1))
         row[i] = draw(st.sampled_from(_HALF if row[i] == "0.5" else _QUARTER))
     elif change == "count":
-        row[-1:] = [] if draw(st.booleans()) else [row[-1], "0"]
+        # one probability less, none (with or without the comma), or one more
+        row[2:] = draw(st.sampled_from([row[2:-1], [], [""], [*row[2:], "0"]]))
     elif change == "space":
         lines.insert(draw(st.integers(1, len(lines))), [draw(st.sampled_from([" ", "\t"]))])
     text = []
@@ -703,6 +705,7 @@ def _predictions_text(draw):
 @example(text="sample_id,true_label,p_0,p_1\ns,0,1,0\n")
 @example(text="sample_id,true_label,p_0,p_1\n" + "x" * 41 + ",0,1,0\n")
 @example(text='"sample_id",true_label,p_0,p_1\n')
+@example(text="sample_id,true_label,p_0,p_1\na,0,0.5,0.5\nb,1,\n")
 def test_read_predictions_matches_line_reader(tmp_path_factory, limit, text):
     # the C parse first changes no value, error, message or line, also where
     # csv's field size limit is below a row's line or field (an id of 41 x's)
@@ -779,7 +782,8 @@ def _summary_text(draw):
         i = draw(st.integers(0, len(line) - 1))
         line[i] = f'"{line[i]}"'
     elif change == "count":
-        row[-1:] = [] if draw(st.booleans()) else [row[-1], "0"]
+        # one probability less, none (with or without the comma), or one more
+        row[2:] = draw(st.sampled_from([row[2:-1], [], [""], [*row[2:], "0"]]))
     elif change == "space":
         lines.insert(draw(st.integers(1, len(lines))), [draw(st.sampled_from([" ", "\t"]))])
     text = []
