@@ -21,6 +21,11 @@ FILES = {
     "c.xyz": "".join(f"{line}\n" for line in _GRID),
     "m_nan.csv": "sample_id,label,path\ns0,0,nan.xyz\n",
     "nan.xyz": "".join(f"{line}\n" for line in [*_GRID[:2], "2 nan 0", *_GRID[3:]]),
+    "m_gone.csv": "sample_id,label,path\ns0,0,c.xyz\ns1,0,gone.xyz\n",
+    "m_two.csv": "sample_id,label,path\ns3,0,gone3.xyz\ns1,0,gone1.xyz\ns2,0,c.xyz\n",
+    "m_unsafe.csv": "sample_id,label,path\ns0,0,c.xyz\n../x,0,c.xyz\n",
+    "m_dup.csv": "sample_id,label,path\ns0,0,c.xyz\ns0,1,c.xyz\n",
+    "out_all.cfg": "p_out=1.0\n",
     "p.csv": _PREDS + "a,0,0.9,0.1\nb,1,0.3,0.7\n",
     "p_sum.csv": _PREDS + "a,0,0.5,0.5\nb,1,0.75,0.75\n",
     "p_nan.csv": _PREDS + "a,0,0.5,0.5\nb,0,nan,1.0\n",
@@ -28,6 +33,8 @@ FILES = {
     "p_quoted.csv": _PREDS + '"a",0,0.5,0.5\nb,1,0.75,0.75\n',
     "p_header.csv": _PREDS,
     "p_header_quoted.csv": '"sample_id",true_label,p_0,p_1\n',
+    "p_ghost.csv": _PREDS + "a,0,0.9,0.1\nghost,1,0.3,0.7\n",
+    "p_dup.csv": _PREDS + "a,0,0.9,0.1\na,1,0.3,0.7\n",
     "s.csv": _SUMMARY + "a,0,0.01,0.0,0\nb,1,0.01,0.0,0\n",
     "s_nan.csv": _SUMMARY + "a,0,0.01,0.0,0\nb,1,nan,0.0,0\n",
 }
@@ -62,6 +69,7 @@ def test_cli_transcript(case, tmp_path, monkeypatch, capsys):
     for name, text in FILES.items():
         (tmp_path / name).write_bytes(text.encode("utf-8"))
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
     code = main(case.argv)
     out, err = capsys.readouterr()
     assert (code, out, err) == (case.code, case.out, case.err)
