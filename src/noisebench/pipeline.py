@@ -24,6 +24,7 @@ value rules run once, on either's rows (_fileio, metrics).
                   global_seed
 """
 
+import contextlib
 import hashlib
 import os
 import struct
@@ -268,6 +269,49 @@ def _start_method():
     return "fork" if linux_default and threading.active_count() == 1 else "spawn"
 
 
+def _run(entries, args, threads, keep_going):
+    """_corrupt_one(entry, *args) per entry in a pool, as generate_benchmark says;
+    (rows, failures) in entry order, returned once every worker has stopped."""
+    # imported here, not at module top, so that `import noisebench` stays fast
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if threads is None:
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        threads = min(32, len(cpus) if cpus else os.cpu_count() or 1)
+    rows, failures = [], []
+    with ProcessPoolExecutor(max_workers=min(threads, max(len(entries), 1)),
+                             mp_context=multiprocessing.get_context(_start_method()),
+                             initializer=_init_worker) as pool:
+        futures = [pool.submit(_corrupt_one, entry, *args) for entry in entries]
+        try:
+            for entry, fut in zip(entries, futures):
+                try:
+                    rows.append(fut.result())
+                except Exception as exc:
+                    if not keep_going:
+                        raise GenerationError(entry.sample_id, exc) from exc
+                    failures.append((entry.sample_id, str(exc)))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return rows, failures
+
+
+@contextlib.contextmanager
+def _publish(out_dir, name):
+    """Make out_dir; yield a staging tree that replaces out_dir/<name> on success."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{name}.", dir=out_dir) as work:
+        staged = Path(work) / "new"  # fixed names, so any tier name can rerun
+        staged.mkdir()  # 0777 less the umask, unlike the 0700 staging root
+        yield staged
+        # swap the finished tree in; leaving the block deletes the old one
+        if (out_dir / name).exists():
+            (out_dir / name).rename(Path(work) / "old")
+        staged.rename(out_dir / name)
+
+
 def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False,
                        scale=None):
     """Corrupt every manifest sample at one tier and write the output tree.
@@ -295,49 +339,17 @@ def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False
     hidden directory behind (holding the earlier tree as `old` if killed
     between the two renames); delete it by hand.
     """
-    # imported here, not at module top, so that `import noisebench` stays fast
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     entries = sorted(manifest.entries, key=lambda e: e.sample_id)
     ids = [str(entry.sample_id) for entry in entries]  # as the file names spell them
     for prev, sid in zip([None, *ids], ids):  # sorted, so a repeat follows its first
         if sid == prev or not _is_plain_name(sid):
             raise ValueError(f"sample_id {sid!r} repeats or is not a plain file name")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if threads is None:
-        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-        threads = min(32, len(cpus) if cpus else os.cpu_count() or 1)
-
-    rows = []
-    failures = []
-    with tempfile.TemporaryDirectory(prefix=f".{config.name}.", dir=out_dir) as work, \
-            ProcessPoolExecutor(max_workers=min(threads, max(len(entries), 1)),
-                                mp_context=multiprocessing.get_context(_start_method()),
-                                initializer=_init_worker) as pool:
-        tier_dir = Path(work) / "new"  # fixed names, so any tier name can rerun
-        tier_dir.mkdir()  # 0777 less the umask, unlike the 0700 staging root
-        futures = [pool.submit(_corrupt_one, entry, config, scale, tier_dir,
-                               manifest.base_dir) for entry in entries]
-        try:
-            for entry, fut in zip(entries, futures):
-                try:
-                    rows.append(fut.result())
-                except Exception as exc:
-                    if not keep_going:
-                        raise GenerationError(entry.sample_id, exc) from exc
-                    failures.append((entry.sample_id, str(exc)))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-
+    with _publish(out_dir, config.name) as tier_dir:
+        rows, failures = _run(entries, (config, scale, tier_dir, manifest.base_dir),
+                              threads, keep_going)
         write_csv(tier_dir / "summary.csv", SUMMARY_HEADER,
                   ([sid, label, fmt(ms), fmt(mm), oc] for sid, label, ms, mm, oc in rows))
-        # swap the finished tree in; leaving the block deletes the old one
-        if (out_dir / config.name).exists():
-            (out_dir / config.name).rename(Path(work) / "old")
-        tier_dir.rename(out_dir / config.name)
 
     m = np.array([r[2] for r in rows])
     # the sum of finite means can overflow; scaling by a power of two above
