@@ -26,6 +26,7 @@ FILES = {
     "m_unsafe.csv": "sample_id,label,path\ns0,0,c.xyz\n../x,0,c.xyz\n",
     "m_dup.csv": "sample_id,label,path\ns0,0,c.xyz\ns0,1,c.xyz\n",
     "out_all.cfg": "p_out=1.0\n",
+    "a_neg.cfg": "a=-1\n",
     "p.csv": _PREDS + "a,0,0.9,0.1\nb,1,0.3,0.7\n",
     "p_sum.csv": _PREDS + "a,0,0.5,0.5\nb,1,0.75,0.75\n",
     "p_nan.csv": _PREDS + "a,0,0.5,0.5\nb,0,nan,1.0\n",
