@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 data or runtime failure, 2 usage error.
 """
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -116,6 +115,8 @@ def _resolve_tier(args):
     if args.tier not in TIER_NAMES and not os.path.isfile(args.tier):
         raise _UsageError(f"{args.tier!r} is neither a preset tier "
                           f"({', '.join(TIER_NAMES)}) nor a config file")
+    import dataclasses
+
     from . import pipeline
 
     config = (pipeline.preset_config(args.tier) if args.tier in TIER_NAMES
@@ -185,8 +186,8 @@ def _cmd_stratify(args):
 
 def _cmd_params(args):
     params = tier_params(args.tier)
-    for field in dataclasses.fields(params):
-        print(f"{field.name}={getattr(params, field.name)!r}")
+    for name, value in zip(params._fields, params):
+        print(f"{name}={value!r}")
     return 0
 
 

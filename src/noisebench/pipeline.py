@@ -30,7 +30,7 @@ import os
 import struct
 import sys
 import tempfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -180,7 +180,7 @@ def read_manifest(path):
     return Manifest(entries=entries, base_dir=path.parent)
 
 
-_TIER_CONFIG_KEYS = (*(f.name for f in fields(NoiseParams)), "sensor_x", "sensor_y",
+_TIER_CONFIG_KEYS = (*NoiseParams._fields, "sensor_x", "sensor_y",
                      "sensor_z", "normal_k", "global_seed")
 
 
@@ -207,9 +207,9 @@ def read_tier_config(path):
             raise ParseError(f"bad value for {key}: {val!r}", path=path,
                              line=lineno) from None
     sensor = tuple(values.pop("sensor_" + ax, v) for ax, v in zip("xyz", DEFAULT_SENSOR))
-    noise = {f.name: values.pop(f.name) for f in fields(NoiseParams) if f.name in values}
+    noise = {name: values.pop(name) for name in NoiseParams._fields if name in values}
     try:  # normal_k and global_seed are left in values
-        return TierConfig(name="custom", params=replace(_PRESETS["none"], **noise),
+        return TierConfig(name="custom", params=_PRESETS["none"]._replace(**noise),
                           sensor=sensor, **values)
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from None

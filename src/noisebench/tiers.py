@@ -5,7 +5,7 @@ run without importing numpy; noise, pipeline and metrics re-export these
 names.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import UnknownTier
 
@@ -21,9 +21,10 @@ def _check_seed(seed, what="seed"):
         raise ValueError(f"{what} must be in [0, 2**64), got {seed}")
 
 
-@dataclass(frozen=True)
-class NoiseParams:
-    """Tier parameter bundle.
+class NoiseParams(namedtuple("NoiseParams", "a b c k p_out")):
+    """Tier parameter bundle: an immutable named tuple whose values are
+    checked by every construction, _make, _replace and unpickling included
+    (ValueError otherwise). It equals a plain tuple of the same values.
 
     :param a: base range noise [m], finite and >= 0
     :param b: range noise growth per meter [1], finite and >= 0
@@ -32,19 +33,22 @@ class NoiseParams:
     :param p_out: outlier probability per point, in [0, 1]
     """
 
-    a: float
-    b: float
-    c: float
-    k: float
-    p_out: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "k"):
-            v = getattr(self, name)
+    def __new__(cls, a, b, c, k, p_out):
+        for name, v in zip("abck", (a, b, c, k)):
             if not (0.0 <= v < float("inf")):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if not (0.0 <= self.p_out <= 1.0):
-            raise ValueError(f"p_out must be in [0, 1], got {self.p_out}")
+        if not (0.0 <= p_out <= 1.0):
+            raise ValueError(f"p_out must be in [0, 1], got {p_out}")
+        return super().__new__(cls, a, b, c, k, p_out)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):  # pickle protocols 0 and 1 would skip __new__
+        return type(self), tuple(self)
 
 
 # built-in corruption tiers, mildest to harshest

@@ -404,6 +404,7 @@ import contextlib, io, sys
 
 def check(step):
     assert "numpy" not in sys.modules, f"numpy loaded by {step}"
+    assert "dataclasses" not in sys.modules, f"dataclasses loaded by {step}"
 
 check("interpreter start")
 import noisebench
@@ -423,9 +424,10 @@ for argv, code in [(["params", "moderate"], 0), (["--help"], 0),
 """
 
 
-def test_cli_without_data_loads_no_numpy():
+def test_cli_without_data_loads_no_numpy_or_dataclasses():
     # params, --help and usage errors touch no array, so they must start
-    # without paying for numpy's import
+    # without paying for numpy's import, nor for the inspect/ast/tokenize
+    # chain that dataclasses loads
     run = _run_python("-c", _NO_NUMPY)
     assert run.returncode == 0, run.stderr
 

@@ -1,5 +1,7 @@
 """Tests for the parametric noise model and cloud corruption."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,22 +10,43 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import brute_force_knn, unit_sphere_cloud
 from noisebench import (TIER_NAMES, DegenerateRay, InsufficientPoints, NoiseParams,
-                        angle_factor, bias_mu, bounding_box, corrupt_cloud,
-                        inject_outliers, perturb_points, point_sigma,
-                        range_to_sensor, sigma_range, tier_params)
+                        ParseError, angle_factor, bias_mu, bounding_box, corrupt_cloud,
+                        inject_outliers, perturb_points, point_sigma, range_to_sensor,
+                        read_tier_config, sigma_range, tier_params)
 
 SENSOR = (0.0, -2.0, 0.0)
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        NoiseParams(a=-0.001, b=0.0, c=0.0, k=0.0, p_out=0.0)
-    with pytest.raises(ValueError):
-        NoiseParams(a=0.0, b=0.0, c=0.0, k=0.0, p_out=1.5)
-    with pytest.raises(ValueError):
-        NoiseParams(a=0.0, b=-1.0, c=0.0, k=0.0, p_out=0.0)
-    with pytest.raises(ValueError):
-        NoiseParams(a=0.0, b=0.0, c=0.0, k=float("inf"), p_out=0.0)
+_BAD_PARAMS = [
+    *({name: bad} for name in "abck" for bad in (-0.001, float("nan"), float("inf"))),
+    {"p_out": -0.01}, {"p_out": 1.5}, {"p_out": float("nan")},
+]
+
+
+def test_params_validation(tmp_path):
+    # every way a NoiseParams is built checks its values with one message
+    none = tier_params("none")
+    for bad in _BAD_PARAMS:
+        (name, value), = bad.items()
+        values = {**none._asdict(), **bad}
+        msg = (f"p_out must be in [0, 1], got {value}" if name == "p_out"
+               else f"{name} must be finite and >= 0, got {value}")
+        builds = [lambda: NoiseParams(**values),
+                  lambda: NoiseParams(*values.values()),
+                  lambda: none._replace(**bad),
+                  lambda: NoiseParams._make(values.values())]
+        unchecked = tuple.__new__(NoiseParams, values.values())
+        builds += [lambda proto=proto: pickle.loads(pickle.dumps(unchecked, proto))
+                   for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for build in builds:
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == msg
+        path = tmp_path / "tier.cfg"
+        path.write_text(f"{name}={value!r}\n")
+        with pytest.raises(ParseError) as exc:
+            read_tier_config(path)
+        assert str(exc.value) == f"{path}: {msg}"
 
 
 def test_sigma_range_examples():

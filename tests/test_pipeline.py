@@ -44,10 +44,17 @@ def test_tier_names_mild_to_harsh():
 
 
 def test_tier_preset_values():
-    assert tier_params("none") == NoiseParams(0.0, 0.0, 0.0, 0.0, 0.0)
-    assert tier_params("light") == NoiseParams(0.003, 0.001, 1.5, 0.005, 0.01)
-    assert tier_params("moderate") == NoiseParams(0.005, 0.002, 2.0, 0.010, 0.02)
-    assert tier_params("heavy") == NoiseParams(0.010, 0.003, 3.0, 0.015, 0.05)
+    presets = {"none": dict(a=0.0, b=0.0, c=0.0, k=0.0, p_out=0.0),
+               "light": dict(a=0.003, b=0.001, c=1.5, k=0.005, p_out=0.01),
+               "moderate": dict(a=0.005, b=0.002, c=2.0, k=0.010, p_out=0.02),
+               "heavy": dict(a=0.010, b=0.003, c=3.0, k=0.015, p_out=0.05)}
+    for name, values in presets.items():
+        params = tier_params(name)
+        assert params == NoiseParams(**values) == NoiseParams(*values.values())
+        assert hash(params) == hash(NoiseParams(**values))
+        assert params._asdict() == values
+    assert repr(tier_params("moderate")) == (
+        "NoiseParams(a=0.005, b=0.002, c=2.0, k=0.01, p_out=0.02)")
 
 
 def test_unknown_tier():
