@@ -67,8 +67,9 @@ def perturb_points(points, sensor, sigma, mu, rng):
     """
     pts = _as_cloud(points)
     rays = _unit_rays(pts, _as_vec3(sensor, "sensor"))
-    eps = mu + sigma * rng.standard_normal(len(pts))
-    return pts + eps[:, None] * rays
+    eps = (mu + sigma * rng.standard_normal(len(pts)))[:, None]
+    # a point with eps == 0 keeps its bits: -0.0 + 0.0 would give +0.0
+    return np.where(eps == 0.0, pts, pts + eps * rays)
 
 
 def bounding_box(points):

@@ -94,8 +94,9 @@ def test_sigma_never_below_base(seed=100):
 
 def test_perturb_zero_noise_is_identity():
     pts = unit_sphere_cloud(100, seed=34) * 1.5
+    pts[::10, 1] = -0.0  # +0.0 added to -0.0 gives +0.0: bits, not values, must match
     out = perturb_points(pts, SENSOR, sigma=0.0, mu=0.0, rng=np.random.default_rng(0))
-    assert_array_equal(out, pts)
+    assert out.tobytes() == pts.tobytes()
 
 
 def test_perturb_pure_bias_moves_along_ray():
@@ -194,8 +195,9 @@ def test_inject_outliers_validation():
 
 def test_corrupt_none_tier_identity():
     pts = unit_sphere_cloud(300, seed=22)
+    pts[::10, 1] = -0.0
     ann = corrupt_cloud(pts, SENSOR, tier_params("none"), k=16, seed=5)
-    assert_array_equal(ann.corrupted, pts)
+    assert ann.corrupted.tobytes() == pts.tobytes()
     assert not ann.sigma.any()
     assert not ann.mu.any()
     assert not ann.outlier.any()
