@@ -13,7 +13,6 @@ import argparse
 import math
 import os
 import sys
-from pathlib import Path
 
 from .errors import NoiseBenchError, UnknownTier
 from .tiers import (DEFAULT_BINS, DEFAULT_NORMAL_K, DEFAULT_QUARTILES, DEFAULT_SENSOR,
@@ -148,6 +147,8 @@ def _cmd_corrupt(args):
 
 
 def _cmd_evaluate(args):
+    from pathlib import Path
+
     from . import metrics
 
     preds = metrics.read_predictions(args.predictions)
@@ -163,6 +164,8 @@ def _cmd_evaluate(args):
 def _cmd_stratify(args):
     if len(args.preds) != len(args.sigmas):
         raise _UsageError("--preds and --sigmas must list the same number of files")
+    from pathlib import Path
+
     from . import metrics
 
     tier_sets = []
