@@ -104,6 +104,20 @@ def test_corrupt_with_tier_config_file(tmp_path):
     assert cols.outlier.all()
 
 
+def test_corrupt_missing_cloud_fails(tmp_path, capsys):
+    manifest = write_benchmark_manifest(tmp_path, 2, 48, seed=84)
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write("gone,0,clouds/gone.xyz\n")
+    assert main(["corrupt", str(manifest), "light", str(tmp_path / "out")]) == 1
+
+    # keep-going still exits 1 but writes the good samples
+    code = main(["corrupt", str(manifest), "light", str(tmp_path / "out2"),
+                 "--keep-going"])
+    assert code == 1
+    assert "failed gone" in capsys.readouterr().err
+    assert len(list((tmp_path / "out2" / "light").glob("*.xyzn"))) == 2
+
+
 def test_corrupt_sensor_and_scale_flags(tmp_path):
     manifest = write_benchmark_manifest(tmp_path, 1, 48, seed=85)
     code = main(["corrupt", str(manifest), "moderate", str(tmp_path / "out"),
@@ -115,6 +129,17 @@ def test_corrupt_sensor_and_scale_flags(tmp_path):
     far = read_sigma_summary(tmp_path / "out" / "moderate" / "summary.csv")
     ref = read_sigma_summary(tmp_path / "ref" / "moderate" / "summary.csv")
     assert far["s0000"] > ref["s0000"]
+
+
+# the transcript pins the message and created paths of every invalid
+# override; this case checks the same exit through an in-process run
+@pytest.mark.parametrize("flags", [["--normal-k", "2"]])
+def test_corrupt_invalid_override_is_usage_error(tmp_path, capsys, flags):
+    manifest = write_benchmark_manifest(tmp_path, 1, 48, seed=88)
+    out = tmp_path / "out"
+    assert main(["corrupt", str(manifest), "light", str(out)] + flags) == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _run_python(*args):
@@ -177,6 +202,20 @@ def test_evaluate_end_to_end(tmp_path, capsys):
     assert "accuracy=0.75" in out
     assert (tmp_path / "report" / "report.txt").exists()
     assert (tmp_path / "report" / "curve.csv").exists()
+
+
+def test_evaluate_zero_noise_marker(tmp_path, capsys):
+    manifest = write_benchmark_manifest(tmp_path, 2, 48, seed=87)
+    main(["corrupt", str(manifest), "none", str(tmp_path / "out")])
+    preds = tmp_path / "preds.csv"
+    write_predictions(preds, [
+        ("s0000", 0, [0.9, 0.05, 0.05]),
+        ("s0001", 1, [0.2, 0.7, 0.1]),
+    ])
+    code = main(["evaluate", str(preds),
+                 str(tmp_path / "out" / "none" / "summary.csv")])
+    assert code == 0
+    assert "pearson_r=undefined(zero_variance)" in capsys.readouterr().out
 
 
 def test_stratify_end_to_end(tmp_path, capsys):
