@@ -139,9 +139,11 @@ def write_table(path, header, columns):
         raise ValueError("cannot write a non-finite value, which readers reject")
     if len({len(column) for column in columns}) > 1:
         raise ValueError("columns differ in length")
-    rows = zip(*(column.tolist() for column in columns))
+    # the whole table in one % call: %r is repr
+    line = " ".join(["%r"] * len(columns)) + "\n"
+    values = tuple(chain.from_iterable(zip(*(column.tolist() for column in columns))))
     with atomic_text(path) as fh:
-        fh.write(header + "".join(" ".join(map(repr, row)) + "\n" for row in rows))
+        fh.write(header + (line * len(columns[0])) % values)
 
 
 def csv_rows(path, what, header_ok):

@@ -154,11 +154,13 @@ def pearson(xs, ys):
     x, y = _rescaled(x), _rescaled(y)
     xc = x - x.mean()
     yc = y - y.mean()
-    sxx = float(xc @ xc)
-    syy = float(yc @ yc)
+    # elementwise products and numpy's pairwise sum: a BLAS dot product
+    # would round by the kernel OpenBLAS picks for the CPU
+    sxx = float(np.sum(xc * xc))
+    syy = float(np.sum(yc * yc))
     if sxx == 0.0 or syy == 0.0:
         raise ZeroVariance("one of the inputs is constant")
-    r = float(xc @ yc) / float(np.sqrt(sxx * syy))
+    r = float(np.sum(xc * yc)) / float(np.sqrt(sxx * syy))
     return min(1.0, max(-1.0, r))
 
 

@@ -111,8 +111,9 @@ def _openblas_core():
 
 
 def _blas_line():
-    # golden digests pin bytes that depend on the BLAS kernel (eigh, @), so
-    # every log names the kernel its run used
+    # no output byte goes through BLAS, so the golden digests hold under
+    # every kernel (test_cli forces each in turn); every log still names the
+    # kernel its run used, so a digest that moves with it shows where
     return f"numpy {np.__version__}, OpenBLAS core {_openblas_core()}"
 
 

@@ -1,8 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
 import csv
+import functools
 import hashlib
+import io
+import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -45,16 +50,20 @@ def test_corrupt_end_to_end(tmp_path, capsys):
     assert tree_digest(tier_dir) == tree_digest(tmp_path / "out2" / "light")
 
 
+def _corrupt_tree_digest(root):
+    """tree_digest of a small heavy-tier run (outliers included) under root."""
+    manifest = write_benchmark_manifest(root, 4, 300, seed=90)
+    assert main(["corrupt", str(manifest), "heavy", str(root / "out"), "--seed", "11",
+                 "--threads", "2"]) == 0
+    return tree_digest(root / "out")
+
+
 def test_corrupt_golden_tree_digest(tmp_path):
-    # frozen output bytes of a small heavy-tier run (outliers included); the
+    # frozen output bytes of the run above. No byte goes through BLAS, so
+    # they hold on every CPU (test_golden_digests_on_every_kernel); the
     # Philox normal stream is only stable within one numpy build, so a
     # mismatch after a numpy upgrade is expected and must be re-pinned
-    manifest = write_benchmark_manifest(tmp_path, 4, 300, seed=90)
-    out = tmp_path / "out"
-    assert main(["corrupt", str(manifest), "heavy", str(out), "--seed", "11",
-                 "--threads", "2"]) == 0
-    assert tree_digest(out) == (
-        "8a8abb04b6deab9eb3d56b3c856d32c66b3cb96fe28b5de5a7b8ece4b33b8fc2")
+    assert _corrupt_tree_digest(tmp_path) == _GOLDEN_TREE_DIGEST
 
 
 def _golden_stage(stage, i):
@@ -70,22 +79,28 @@ def _golden_stage(stage, i):
                          seed).sigma
 
 
+def _stage_digest(stage):
+    h = hashlib.sha256()
+    for i in range(4):
+        h.update(_golden_stage(stage, i).astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+_GOLDEN_TREE_DIGEST = "97dbf6f45767928e14740523e5e384d8ddcb5a70d737dce94f9f26c4acb3b47d"
+
 _GOLDEN_STAGE_DIGESTS = {
     "normal_draws": "a066349ef48377c7801361222afdb8d94ce1e3b89125e7ea682beea7fd57feb7",
-    "normals": "4857345948e6c3e38d4e4dae9580c6dfc5fc2f372249cdf5935dc8a1fc374d85",
-    "sigma": "37420e63d2609b7b2a945d4642fb1af5067192fa24418cdeb7f5ceec31d65d8c",
+    "normals": "0f567306497deb24b3833af8a22b73d1e2ed54d8b474ae04f0c9bf0d332bc409",
+    "sigma": "e6fb0b74b05c48cb3cc6da128995d44ed7909ac33ea436a85e38ef90610e1379",
 }
 
 
 @pytest.mark.parametrize("stage", list(_GOLDEN_STAGE_DIGESTS))
 def test_corrupt_golden_stage_digest(stage):
     # the golden tree's stages, frozen one by one so that a mismatch names
-    # its stage: the Philox normal draws use no BLAS, while the normals (the
-    # covariance @ and eigh), and sigma through them, depend on the BLAS kernel
-    h = hashlib.sha256()
-    for i in range(4):
-        h.update(_golden_stage(stage, i).astype("<f8").tobytes())
-    assert h.hexdigest() == _GOLDEN_STAGE_DIGESTS[stage]
+    # its stage: the Philox normal draws, the normals (six-sum covariance
+    # and Jacobi) and sigma through them
+    assert _stage_digest(stage) == _GOLDEN_STAGE_DIGESTS[stage]
 
 
 def test_corrupt_seed_changes_output(tmp_path):
@@ -142,13 +157,15 @@ def test_corrupt_invalid_override_is_usage_error(tmp_path, capsys, flags):
     assert not out.exists()
 
 
-def _run_python(*args):
-    """Run Python in a subprocess, where pytest cannot turn a warning into an error."""
+def _run_python(*args, **env):
+    """Run Python in a subprocess, where pytest cannot turn a warning into an
+    error, with the variables in env set (None unsets one); src, then any
+    PYTHONPATH, is on its path."""
     src = str(Path(noisebench.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *map(str, args)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    full = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
+                          env={k: v for k, v in full.items() if v is not None}, timeout=120)
 
 
 def _run_cli(*args):
@@ -278,34 +295,109 @@ def _score_tier(rng, ids, noise):
     return rows, sigmas
 
 
-def test_score_golden_digest(tmp_path, monkeypatch, capsys):
-    # frozen output bytes of evaluate on two tiers and stratify over both
-    # (inputs drawn with numpy 2.4.6); relative paths keep the printed
-    # "wrote ..." lines machine-independent
-    monkeypatch.chdir(tmp_path)
+def _score_digests():
+    """(tree, stdout) digests of evaluate on two tiers and stratify over both,
+    run in the current directory (inputs drawn with numpy 2.4.6); relative
+    paths keep the printed "wrote ..." lines machine-independent."""
     rng = np.random.default_rng(96)
     ids = [f"s{i:03d}" for i in rng.permutation(180)]
-    for tier, noise in (("a", 0.01), ("b", 0.03)):
-        rows, sigmas = _score_tier(rng, ids, noise)
-        write_predictions(f"p_{tier}.csv", rows, classes=40)
-        with open(f"s_{tier}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample_id", "label", "mean_sigma", "mean_mu",
-                             "outlier_count"])
-            for sid, sigma in sorted(sigmas.items()):
-                writer.writerow([sid, 0, repr(sigma), "0.0", 0])
-        assert main(["evaluate", f"p_{tier}.csv", f"s_{tier}.csv",
-                     "--out", f"out/{tier}"]) == 0
-    assert main(["stratify", "--preds", "p_a.csv", "p_b.csv",
-                 "--sigmas", "s_a.csv", "s_b.csv", "--out", "out/strat"]) == 0
-    stdout = capsys.readouterr().out
-    assert sorted(p.name for p in tmp_path.joinpath("out").rglob("*")
-                  if p.is_file()) == ["curve.csv", "curve.csv", "report.txt",
-                                      "report.txt", "stratified.csv"]
-    assert tree_digest(tmp_path / "out") == (
-        "7294078d4fe95c53116d80835a41f6547fb63fbbc600fc14ba4b653fbfb87147")
-    assert hashlib.sha256(stdout.encode()).hexdigest() == (
-        "0230b8be6f07e26c7fc8d3169b866841a1b072c911d2746d408fffe24b138b42")
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        for tier, noise in (("a", 0.01), ("b", 0.03)):
+            rows, sigmas = _score_tier(rng, ids, noise)
+            write_predictions(f"p_{tier}.csv", rows, classes=40)
+            with open(f"s_{tier}.csv", "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["sample_id", "label", "mean_sigma", "mean_mu",
+                                 "outlier_count"])
+                for sid, sigma in sorted(sigmas.items()):
+                    writer.writerow([sid, 0, repr(sigma), "0.0", 0])
+            assert main(["evaluate", f"p_{tier}.csv", f"s_{tier}.csv",
+                         "--out", f"out/{tier}"]) == 0
+        assert main(["stratify", "--preds", "p_a.csv", "p_b.csv",
+                     "--sigmas", "s_a.csv", "s_b.csv", "--out", "out/strat"]) == 0
+    assert sorted(p.name for p in Path("out").rglob("*") if p.is_file()) == [
+        "curve.csv", "curve.csv", "report.txt", "report.txt", "stratified.csv"]
+    return tree_digest("out"), hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+
+
+_GOLDEN_SCORE_DIGESTS = (
+    "f01d09efc38f19a17cab1d815e3d76017e74bfd1582de05cd4d97b06948046c1",
+    "1412559415e1042ba5b6dff33bd87a8715a89a47fff38780c82935b79f6e50f7")
+
+
+def test_score_golden_digest(tmp_path, monkeypatch):
+    # frozen output bytes of the scoring run above
+    monkeypatch.chdir(tmp_path)
+    assert _score_digests() == _GOLDEN_SCORE_DIGESTS
+
+
+_GOLDEN_DIGESTS = """
+import json, os, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from conftest import _openblas_core
+import test_cli
+with tempfile.TemporaryDirectory() as tmp:
+    digests = {"tree": test_cli._corrupt_tree_digest(Path(tmp, "corrupt")),
+               **{stage: test_cli._stage_digest(stage)
+                  for stage in test_cli._GOLDEN_STAGE_DIGESTS}}
+    os.chdir(tmp)
+    digests["score"] = list(test_cli._score_digests())
+    os.chdir(sys.argv[1])
+dispatched = [name for name in __cpu_dispatch__ if __cpu_features__[name]]
+print(json.dumps([_openblas_core(), dispatched, digests]))
+"""
+
+# OpenBLAS core types by the instructions they need, as the core OpenBLAS
+# picks unforced for the CPU names them; a build without its own Zen or
+# Prescott kernels reports Haswell or Katmai for those
+_AVX512_CORES = {"SkylakeX", "Cooperlake", "SapphireRapids"}
+_AVX2_CORES = _AVX512_CORES | {"Haswell", "Zen"}
+_FORCED_CORES = {
+    "SkylakeX": (_AVX512_CORES, {"SkylakeX"}),
+    "Haswell": (_AVX2_CORES, {"Haswell"}),
+    "Zen": (_AVX2_CORES, {"Zen", "Haswell"}),
+    "Prescott": (None, {"Prescott", "Katmai"}),  # any x86-64 CPU
+}
+# numpy's SIMD dispatch cut back to the X86_V2 baseline
+_BASELINE_DISPATCH = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
+@functools.lru_cache(maxsize=None)
+def _unforced_core():
+    """The OpenBLAS core a fresh interpreter picks for this CPU."""
+    run = _run_python("-c", "from conftest import _openblas_core; print(_openblas_core())",
+                      PYTHONPATH=str(Path(__file__).parent), OPENBLAS_CORETYPE=None)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
+
+
+@pytest.mark.parametrize("kernel", [*_FORCED_CORES, "X86_V2"])
+def test_golden_digests_on_every_kernel(kernel):
+    # the golden digests above, computed in a fresh interpreter under each
+    # OpenBLAS core type and under numpy's baseline SIMD dispatch, must be
+    # the pinned ones: no output byte may depend on the CPU. A core type
+    # this CPU cannot execute is skipped by name, never passed
+    x86 = platform.machine().lower() in ("x86_64", "amd64")
+    if kernel == "X86_V2":
+        if not x86:
+            pytest.skip("numpy's X86_V2 dispatch needs an x86-64 CPU")
+        env, loads = {"NPY_DISABLE_CPU_FEATURES": _BASELINE_DISPATCH}, None
+    else:
+        needs, loads = _FORCED_CORES[kernel]
+        core = _unforced_core()
+        if not x86 or core == "unknown" or (needs is not None and core not in needs):
+            pytest.skip(f"OpenBLAS core {kernel} cannot run where OpenBLAS picks {core}")
+        env = {"OPENBLAS_CORETYPE": kernel}
+    run = _run_python("-c", _GOLDEN_DIGESTS, Path(__file__).parent,
+                      **{"OPENBLAS_CORETYPE": None, **env})
+    assert run.returncode == 0, run.stderr
+    core, dispatched, digests = json.loads(run.stdout.splitlines()[-1])
+    assert loads is None or core in loads, f"{kernel} loaded OpenBLAS core {core}"
+    assert kernel != "X86_V2" or dispatched == [], f"numpy still dispatches {dispatched}"
+    assert digests == {"tree": _GOLDEN_TREE_DIGEST, **_GOLDEN_STAGE_DIGESTS,
+                       "score": list(_GOLDEN_SCORE_DIGESTS)}
 
 
 _NO_NUMPY = """

@@ -1,8 +1,8 @@
 """The CLI contract as a transcript: each case of cli_transcript.txt runs
 cli.main in a temporary directory holding FILES, and must give exactly the
 exit code, stdout and stderr written there, and create exactly the paths
-listed there. No checked output may depend on a BLAS result, so the
-transcript holds for every kernel OpenBLAS picks."""
+listed there. No output byte goes through BLAS, so the transcript holds
+for every kernel OpenBLAS picks."""
 
 import shlex
 from pathlib import Path

@@ -408,6 +408,40 @@ def test_knn_golden_digest():
         "18237c910088faacee3b4e65e9555d6644c39713fe510fc6f6e261053ad92473")
 
 
+def _solver_cases():
+    """(n, 3, 3) symmetric matrices: all zero, exactly diagonal, subnormal
+    off-diagonal entries, entries near 1e301, a 1e301 / 1e-300 mix, c I,
+    and random SPD."""
+    rng = np.random.default_rng(16)
+    b = rng.standard_normal((200, 3, 3))
+    spd = np.einsum("nik,njk->nij", b, b) + 1e-3 * np.eye(3)
+    spd = (spd + spd.transpose(0, 2, 1)) / 2.0                  # exactly symmetric
+    tiny = np.diag([1.0, 2.0, 1.0]) + 5e-324 * (np.ones((3, 3)) - np.eye(3))
+    huge = spd[:3] / np.abs(spd[:3]).max(axis=(1, 2), keepdims=True) * 1e301
+    skew = np.diag([1e301, 2e300, 1.0])
+    skew[0, 1] = skew[1, 0] = skew[1, 2] = skew[2, 1] = 1e-300
+    return np.concatenate([np.zeros((1, 3, 3)), np.diag([3.0, -1.0, 2.0])[None],
+                           tiny[None], huge, skew[None], 7.5 * np.eye(3)[None], spd])
+
+
+def test_jacobi_edge_cases():
+    mats = _solver_cases()
+    # the solver's rotation guards: no division by a zero entry, no overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, v = geometry._jacobi3([[mats[:, i, j] for j in range(3)] for i in range(3)])
+    lam, v = np.array(lam).T, np.array(v).transpose(2, 0, 1)   # (n, 3), (n, 3, 3)
+    ref = np.linalg.eigh(mats)[0]
+    scale = np.abs(ref).max(axis=1)                            # the 2-norm of each matrix
+    assert (np.abs(np.sort(lam, axis=1) - ref) <= 1e-13 * scale[:, None]).all()
+    low = lam.argmin(axis=1)
+    vec = v[np.arange(len(mats)), :, low]                       # (n, 3)
+    assert_allclose(np.sum(vec * vec, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    lam0 = lam[np.arange(len(mats)), low]
+    resid = np.sum(mats * vec[:, None, :], axis=2) - lam0[:, None] * vec
+    assert (np.abs(resid).max(axis=1) <= 1e-12 * scale).all()
+
+
 def test_normals_axis_aligned_plane_exact():
     g = np.linspace(-1.0, 1.0, 15)
     xx, yy = np.meshgrid(g, g)

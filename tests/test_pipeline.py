@@ -268,6 +268,20 @@ def test_write_cloud_rejects_wrong_width(tmp_path, width):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("rows", [1, 7])
+def test_write_table_bytes_match_joined_reprs(tmp_path, rows):
+    # one % call formats the table; the bytes must be those of joining each
+    # field's repr, for signed zeros, subnormals, exponents and int columns
+    values = [-0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308, 0.1, -2.5]
+    columns = [np.array(values[i:] + values[:i])[:rows] for i in range(3)]
+    columns += [np.arange(rows, dtype=np.int8) % 2, np.zeros(rows, dtype=np.int8)]
+    path = tmp_path / "table.txt"
+    _fileio.write_table(path, "# header\n", columns)
+    want = "".join(" ".join(map(repr, row)) + "\n"
+                   for row in zip(*(column.tolist() for column in columns)))
+    assert path.read_bytes() == ("# header\n" + want).encode()
+
+
 def test_writers_refuse_non_finite(tmp_path):
     # read_cloud and read_annotated reject such rows, so no writer may make one
     pts = unit_sphere_cloud(16, seed=42)
