@@ -306,10 +306,17 @@ def _publish(out_dir, name):
         staged = Path(work) / "new"  # fixed names, so any tier name can rerun
         staged.mkdir()  # 0777 less the umask, unlike the 0700 staging root
         yield staged
-        # swap the finished tree in; leaving the block deletes the old one
-        if (out_dir / name).exists():
-            (out_dir / name).rename(Path(work) / "old")
-        staged.rename(out_dir / name)
+        # swap the finished tree in; leaving the block deletes the old one,
+        # so an interrupted swap first puts the old one back
+        old = Path(work) / "old"
+        try:
+            if (out_dir / name).exists():
+                (out_dir / name).rename(old)
+            staged.rename(out_dir / name)
+        except BaseException:
+            if old.exists():
+                old.rename(out_dir / name)
+            raise
 
 
 def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False,

@@ -1,10 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
-import contextlib
 import csv
 import functools
 import hashlib
-import io
 import json
 import os
 import platform
@@ -12,10 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conftest import tree_digest, unit_sphere_cloud, write_benchmark_manifest
+from test_cli_transcript import _Case, _cases
 import noisebench
 from noisebench import (DEFAULT_NORMAL_K, DEFAULT_SENSOR, corrupt_cloud, estimate_normals,
                         read_annotated, read_sigma_summary, sample_seed, tier_params)
@@ -23,11 +21,11 @@ from noisebench.cli import main
 from noisebench.noise import _STREAM_PERTURB, _substream
 
 
-def write_predictions(path, rows, classes=3):
-    """rows: (sample_id, true_label, probs) triples."""
+def write_predictions(path, rows):
+    """rows: (sample_id, true_label, probs) triples, three classes each."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sample_id", "true_label"] + [f"p_{i}" for i in range(classes)])
+        writer.writerow(["sample_id", "true_label", "p_0", "p_1", "p_2"])
         for sid, label, probs in rows:
             writer.writerow([sid, label] + [repr(float(p)) for p in probs])
 
@@ -50,25 +48,9 @@ def test_corrupt_end_to_end(tmp_path, capsys):
     assert tree_digest(tier_dir) == tree_digest(tmp_path / "out2" / "light")
 
 
-def _corrupt_tree_digest(root):
-    """tree_digest of a small heavy-tier run (outliers included) under root."""
-    manifest = write_benchmark_manifest(root, 4, 300, seed=90)
-    assert main(["corrupt", str(manifest), "heavy", str(root / "out"), "--seed", "11",
-                 "--threads", "2"]) == 0
-    return tree_digest(root / "out")
-
-
-def test_corrupt_golden_tree_digest(tmp_path):
-    # frozen output bytes of the run above. No byte goes through BLAS, so
-    # they hold on every CPU (test_golden_digests_on_every_kernel); the
-    # Philox normal stream is only stable within one numpy build, so a
-    # mismatch after a numpy upgrade is expected and must be re-pinned
-    assert _corrupt_tree_digest(tmp_path) == _GOLDEN_TREE_DIGEST
-
-
 def _golden_stage(stage, i):
-    """One stage's array for sample s{i:04d} of the golden corrupt run above,
-    whose cloud file holds unit_sphere_cloud(300, seed=90 + i) exactly."""
+    """One stage's array for sample s{i:04d} of the transcript's heavy-tier
+    run, whose cloud file g{i}.xyz holds unit_sphere_cloud(300, 90 + i) exactly."""
     cloud = unit_sphere_cloud(300, seed=90 + i)
     seed = sample_seed(11, f"s{i:04d}")
     if stage == "normal_draws":
@@ -86,8 +68,6 @@ def _stage_digest(stage):
     return h.hexdigest()
 
 
-_GOLDEN_TREE_DIGEST = "97dbf6f45767928e14740523e5e384d8ddcb5a70d737dce94f9f26c4acb3b47d"
-
 _GOLDEN_STAGE_DIGESTS = {
     "normal_draws": "a066349ef48377c7801361222afdb8d94ce1e3b89125e7ea682beea7fd57feb7",
     "normals": "0f567306497deb24b3833af8a22b73d1e2ed54d8b474ae04f0c9bf0d332bc409",
@@ -97,9 +77,12 @@ _GOLDEN_STAGE_DIGESTS = {
 
 @pytest.mark.parametrize("stage", list(_GOLDEN_STAGE_DIGESTS))
 def test_corrupt_golden_stage_digest(stage):
-    # the golden tree's stages, frozen one by one so that a mismatch names
-    # its stage: the Philox normal draws, the normals (six-sum covariance
-    # and Jacobi) and sigma through them
+    # that run's stages, frozen one by one so that a mismatch names its
+    # stage: the Philox normal draws, the normals (six-sum covariance and
+    # Jacobi) and sigma through them. No byte goes through BLAS, so they
+    # hold on every CPU (test_golden_digests_on_every_kernel); the Philox
+    # normal stream is only stable within one numpy release, so a mismatch
+    # after a numpy upgrade is expected and must be re-pinned
     assert _stage_digest(stage) == _GOLDEN_STAGE_DIGESTS[stage]
 
 
@@ -267,86 +250,25 @@ def test_stratify_end_to_end(tmp_path, capsys):
     assert float(q0[4]) == pytest.approx(0.2, abs=1e-12)
 
 
-def _score_tier(rng, ids, noise):
-    """40-class prediction rows plus rounded sigmas for one tier.
-
-    Every third row puts its confidence exactly on a bin edge (k/15, or 0.5
-    split between two tied classes); sigmas are rounded to 4 decimals so
-    pooled sigmas tie across and within tiers.
-    """
-    rows, sigmas = [], {}
-    for i, sid in enumerate(ids):
-        top = int(rng.integers(40))
-        if i % 6 == 0:
-            conf = int(rng.integers(2, 16)) / 15
-            probs = np.insert((1.0 - conf) * rng.dirichlet([4.0] * 39), top, conf)
-        elif i % 6 == 3:
-            conf = 0.5
-            probs = np.zeros(40)
-            probs[[top, (top + 1 + int(rng.integers(39))) % 40]] = 0.5
-        else:
-            probs = rng.dirichlet([0.3] * 40)
-            conf = probs.max()
-            top = int(probs.argmax())
-        label = top if rng.random() < conf else int(rng.integers(40))
-        rows.append((sid, label, probs))
-        sigma = noise * (1.5 - conf) + abs(rng.normal(0.0, 0.002))
-        sigmas[sid] = round(float(sigma), 4)
-    return rows, sigmas
-
-
-def _score_digests():
-    """(tree, stdout) digests of evaluate on two tiers and stratify over both,
-    run in the current directory (inputs drawn with numpy 2.4.6); relative
-    paths keep the printed "wrote ..." lines machine-independent."""
-    rng = np.random.default_rng(96)
-    ids = [f"s{i:03d}" for i in rng.permutation(180)]
-    with contextlib.redirect_stdout(io.StringIO()) as stdout:
-        for tier, noise in (("a", 0.01), ("b", 0.03)):
-            rows, sigmas = _score_tier(rng, ids, noise)
-            write_predictions(f"p_{tier}.csv", rows, classes=40)
-            with open(f"s_{tier}.csv", "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["sample_id", "label", "mean_sigma", "mean_mu",
-                                 "outlier_count"])
-                for sid, sigma in sorted(sigmas.items()):
-                    writer.writerow([sid, 0, repr(sigma), "0.0", 0])
-            assert main(["evaluate", f"p_{tier}.csv", f"s_{tier}.csv",
-                         "--out", f"out/{tier}"]) == 0
-        assert main(["stratify", "--preds", "p_a.csv", "p_b.csv",
-                     "--sigmas", "s_a.csv", "s_b.csv", "--out", "out/strat"]) == 0
-    assert sorted(p.name for p in Path("out").rglob("*") if p.is_file()) == [
-        "curve.csv", "curve.csv", "report.txt", "report.txt", "stratified.csv"]
-    return tree_digest("out"), hashlib.sha256(stdout.getvalue().encode()).hexdigest()
-
-
-_GOLDEN_SCORE_DIGESTS = (
-    "f01d09efc38f19a17cab1d815e3d76017e74bfd1582de05cd4d97b06948046c1",
-    "1412559415e1042ba5b6dff33bd87a8715a89a47fff38780c82935b79f6e50f7")
-
-
-def test_score_golden_digest(tmp_path, monkeypatch):
-    # frozen output bytes of the scoring run above
-    monkeypatch.chdir(tmp_path)
-    assert _score_digests() == _GOLDEN_SCORE_DIGESTS
-
+# the transcript cases that write a file, and so pin its bytes
+_FILE_CASES = [case for case in _cases() if "sha256=" in case.made]
 
 _GOLDEN_DIGESTS = """
 import json, os, sys, tempfile
-from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 from conftest import _openblas_core
-import test_cli
-with tempfile.TemporaryDirectory() as tmp:
-    digests = {"tree": test_cli._corrupt_tree_digest(Path(tmp, "corrupt")),
-               **{stage: test_cli._stage_digest(stage)
-                  for stage in test_cli._GOLDEN_STAGE_DIGESTS}}
-    os.chdir(tmp)
-    digests["score"] = list(test_cli._score_digests())
-    os.chdir(sys.argv[1])
+from test_cli import _FILE_CASES, _GOLDEN_STAGE_DIGESTS, _stage_digest
+from test_cli_transcript import _run
+runs = []
+for case in _FILE_CASES:
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        runs.append(_run(case))
+        os.chdir(sys.argv[1])
+digests = {stage: _stage_digest(stage) for stage in _GOLDEN_STAGE_DIGESTS}
 dispatched = [name for name in __cpu_dispatch__ if __cpu_features__[name]]
-print(json.dumps([_openblas_core(), dispatched, digests]))
+print(json.dumps([_openblas_core(), dispatched, digests, runs]))
 """
 
 # OpenBLAS core types by the instructions they need, as the core OpenBLAS
@@ -375,10 +297,11 @@ def _unforced_core():
 
 @pytest.mark.parametrize("kernel", [*_FORCED_CORES, "X86_V2"])
 def test_golden_digests_on_every_kernel(kernel):
-    # the golden digests above, computed in a fresh interpreter under each
-    # OpenBLAS core type and under numpy's baseline SIMD dispatch, must be
-    # the pinned ones: no output byte may depend on the CPU. A core type
-    # this CPU cannot execute is skipped by name, never passed
+    # the stage digests above and every transcript case that writes a file,
+    # run in a fresh interpreter under each OpenBLAS core type and under
+    # numpy's baseline SIMD dispatch, must give the pinned bytes: no output
+    # byte may depend on the CPU. A core type this CPU cannot execute is
+    # skipped by name, never passed
     x86 = platform.machine().lower() in ("x86_64", "amd64")
     if kernel == "X86_V2":
         if not x86:
@@ -393,11 +316,11 @@ def test_golden_digests_on_every_kernel(kernel):
     run = _run_python("-c", _GOLDEN_DIGESTS, Path(__file__).parent,
                       **{"OPENBLAS_CORETYPE": None, **env})
     assert run.returncode == 0, run.stderr
-    core, dispatched, digests = json.loads(run.stdout.splitlines()[-1])
+    core, dispatched, digests, runs = json.loads(run.stdout.splitlines()[-1])
     assert loads is None or core in loads, f"{kernel} loaded OpenBLAS core {core}"
     assert kernel != "X86_V2" or dispatched == [], f"numpy still dispatches {dispatched}"
-    assert digests == {"tree": _GOLDEN_TREE_DIGEST, **_GOLDEN_STAGE_DIGESTS,
-                       "score": list(_GOLDEN_SCORE_DIGESTS)}
+    assert digests == _GOLDEN_STAGE_DIGESTS
+    assert [_Case(*run) for run in runs] == _FILE_CASES
 
 
 _NO_NUMPY = """

@@ -1,15 +1,22 @@
 """The CLI contract as a transcript: each case of cli_transcript.txt runs
 cli.main in a temporary directory holding FILES, and must give exactly the
 exit code, stdout and stderr written there, and create exactly the paths
-listed there. No output byte goes through BLAS, so the transcript holds
-for every kernel OpenBLAS picks."""
+listed there, each file with the digest of its bytes. No output byte goes
+through BLAS, so the transcript holds for every kernel OpenBLAS picks;
+test_cli reruns its file-writing cases under each one."""
 
+import contextlib
+import csv
+import hashlib
+import io
 import shlex
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
+from conftest import unit_sphere_cloud
 from noisebench.cli import main
 
 _GRID = [f"{i % 4} {i // 4 % 4} {i // 16}" for i in range(32)]
@@ -55,6 +62,58 @@ FILES = {
 }
 
 
+def _csv(rows):
+    """rows as csv.writer writes them, each ending in "\r\n"."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+# a heavy-tier run's inputs: four clouds of 300 sphere points, as write_cloud
+# writes them
+FILES["g.csv"] = _csv([["sample_id", "label", "path"],
+                       *([f"s{i:04d}", i % 3, f"g{i}.xyz"] for i in range(4))])
+FILES.update({f"g{i}.xyz": "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in
+                                   unit_sphere_cloud(300, 90 + i).tolist())
+              for i in range(4)})
+
+
+def _score_tier(rng, ids, noise):
+    """One tier's 40-class predictions and rounded sigmas, as CSV text.
+
+    Every third row puts its confidence exactly on a bin edge (k/15, or 0.5
+    split between two tied classes); sigmas are rounded to 4 decimals so
+    pooled sigmas tie across and within tiers.
+    """
+    rows, sigmas = [["sample_id", "true_label", *(f"p_{i}" for i in range(40))]], {}
+    for i, sid in enumerate(ids):
+        top = int(rng.integers(40))
+        if i % 6 == 0:
+            conf = int(rng.integers(2, 16)) / 15
+            probs = np.insert((1.0 - conf) * rng.dirichlet([4.0] * 39), top, conf)
+        elif i % 6 == 3:
+            conf = 0.5
+            probs = np.zeros(40)
+            probs[[top, (top + 1 + int(rng.integers(39))) % 40]] = 0.5
+        else:
+            probs = rng.dirichlet([0.3] * 40)
+            conf = probs.max()
+            top = int(probs.argmax())
+        label = top if rng.random() < conf else int(rng.integers(40))
+        rows.append([sid, label, *map(repr, probs.tolist())])
+        sigma = noise * (1.5 - conf) + abs(rng.normal(0.0, 0.002))
+        sigmas[sid] = round(float(sigma), 4)
+    summary = [[sid, 0, repr(sigma), "0.0", 0] for sid, sigma in sorted(sigmas.items())]
+    return _csv(rows), _csv([_SUMMARY[:-1].split(","), *summary])
+
+
+# two tiers of 180 scored samples, drawn with numpy 2.4.6
+_rng = np.random.default_rng(96)
+_ids = [f"s{i:03d}" for i in _rng.permutation(180)]
+FILES["p_a.csv"], FILES["s_a.csv"] = _score_tier(_rng, _ids, 0.01)
+FILES["p_b.csv"], FILES["s_b.csv"] = _score_tier(_rng, _ids, 0.03)
+
+
 class _Case(NamedTuple):
     argv: list
     code: int
@@ -80,19 +139,27 @@ def _cases(path=Path(__file__).with_name("cli_transcript.txt")):
             cases[-1] = cases[-1]._replace(err=cases[-1].err + line[2:] + "\n")
         elif line[:1] == "+":
             cases[-1] = cases[-1]._replace(made=cases[-1].made + line[2:] + "\n")
-    return [pytest.param(case, id=shlex.join(case.argv)[:60]) for case in cases]
+    return cases
 
 
-@pytest.mark.parametrize("case", _cases())
-def test_cli_transcript(case, tmp_path, monkeypatch, capsys):
+def _run(case):
+    """The case as it runs in the current directory, after FILES are written
+    there: every path it created, sorted, a directory with a trailing / and
+    a file with the first 16 hex digits of its SHA-256."""
     for name, data in FILES.items():
-        (tmp_path / name).write_bytes(data if isinstance(data, bytes) else data.encode())
+        Path(name).write_bytes(data if isinstance(data, bytes) else data.encode())
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(case.argv)
+    made = sorted(f"{p.as_posix()}/" if p.is_dir() else
+                  f"{p.as_posix()} sha256={hashlib.sha256(p.read_bytes()).hexdigest()[:16]}"
+                  for p in Path().rglob("*") if p.as_posix() not in FILES)
+    return case._replace(code=code, out=out.getvalue(), err=err.getvalue(),
+                         made="".join(f"{path}\n" for path in made))
+
+
+@pytest.mark.parametrize("case", _cases(), ids=lambda case: shlex.join(case.argv)[:60])
+def test_cli_transcript(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
-    code = main(case.argv)
-    out, err = capsys.readouterr()
-    # every path the case created, sorted, each directory with a trailing /
-    made = sorted(p.relative_to(tmp_path).as_posix() + "/" * p.is_dir()
-                  for p in tmp_path.rglob("*"))
-    made = "".join(f"{path}\n" for path in made if path not in FILES)
-    assert (code, out, err, made) == (case.code, case.out, case.err, case.made)
+    assert _run(case) == case

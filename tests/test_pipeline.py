@@ -1142,6 +1142,27 @@ def test_generate_benchmark_rerun_replaces_tree_whole(tmp_path, monkeypatch, cas
     assert [line.split(",")[0] for line in lines[1:]] == kept
 
 
+def test_generate_benchmark_interrupted_swap_keeps_tree(tmp_path, monkeypatch):
+    # an interrupt after the earlier tree is parked, before the new one
+    # takes its place, puts the earlier tree back
+    manifest = read_manifest(write_benchmark_manifest(tmp_path, 2, 48, seed=65))
+    out = tmp_path / "out"
+    generate_benchmark(manifest, preset_config("light"), out, threads=1)
+    before = tree_digest(out / "light")
+    rename = Path.rename
+
+    def interrupted(self, target):
+        if self.name == "new":  # the staged tree
+            raise KeyboardInterrupt
+        return rename(self, target)
+
+    monkeypatch.setattr(Path, "rename", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        generate_benchmark(manifest, preset_config("light", 1), out, threads=1)
+    assert [p.name for p in out.iterdir()] == ["light"]  # no staging left
+    assert tree_digest(out / "light") == before
+
+
 def test_generate_benchmark_worker_death(tmp_path, monkeypatch, capsys, start_method):
     # a worker that dies fails its sample and every one not yet finished;
     # nothing hangs, and fail-fast leaves the earlier tree as it was
