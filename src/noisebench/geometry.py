@@ -5,6 +5,7 @@ a single point is a 1-row cloud. Clouds are plain float64 numpy arrays; no
 wrapper classes.
 """
 
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -12,9 +13,11 @@ import numpy as np
 from .errors import DegenerateRay, InsufficientPoints
 
 # candidate table entries (cells x widest block) and distance entries
-# (query rows x widest block) the kNN search holds at once: its scratch is a
-# few arrays of 256 KB each, small enough to stay in cache
+# (query rows x widest block) the kNN search holds at once: its scratch is
+# two (4, _KNN_BLOCK) float64 arrays of 1 MB, kept per thread in _SCRATCH and
+# reused by every block, so a search does not fault in fresh pages per block
 _KNN_BLOCK = 1 << 15
+_SCRATCH = threading.local()
 
 # rounding: relative error of one operation, absolute error on underflow
 _EPS = np.finfo(np.float64).eps
@@ -103,7 +106,8 @@ def _knn_indices(pts, k):
     O(n k) time on clouds evenly spread over a curve, surface or volume, and
     O(n^2) at worst (one dense cluster plus far outliers). Candidates are
     per-chunk tables, a row per query cell padded with a sentinel at d^2 =
-    +inf; scratch beyond O(n) is a few _KNN_BLOCK-entry arrays.
+    +inf; scratch beyond O(n) is a few _KNN_BLOCK-entry arrays, the float
+    ones in the calling thread's kept buffers (see _scratch).
     """
     n = len(pts)
     if not 0 < k < n:
@@ -152,6 +156,17 @@ def _knn_indices(pts, k):
         h *= 2.0
         todo = _grid_pass(xyzs, k, todo, out, lo, extent, h, slack)
     return out
+
+
+def _scratch(name, shape):
+    """An uninitialised float64 array of `shape` in the calling thread's kept
+    buffer `name`, or a fresh one, not kept, past 4 _KNN_BLOCK entries."""
+    size = np.prod(shape)
+    if size > 4 * _KNN_BLOCK:
+        return np.empty(shape)
+    if getattr(_SCRATCH, name, np.empty(0)).size < size:
+        setattr(_SCRATCH, name, np.empty(4 * _KNN_BLOCK))
+    return getattr(_SCRATCH, name)[:size].reshape(shape)
 
 
 def _spans(starts, counts):
@@ -224,7 +239,9 @@ def _grid_pass(xyzs, k, rows, out, lo, extent, h, slack):
         q = np.repeat(np.arange(j - i), nrow[i:j])       # each row's cell
         # each row's own column: its key's place less its cell's first place
         self_col = ckey.searchsorted(q * (n + 1) + blk) - ckey.searchsorted(q * (n + 1))
-        cand = xyzs[:, table]                            # (4, cells, w)
+        # take's default mode, "raise", fills out= through a buffer; every
+        # index is valid, so "clip" writes it directly and changes nothing
+        cand = xyzs.take(table, axis=1, out=_scratch("cand", (4, *table.shape)), mode="clip")
         step = max(1, _KNN_BLOCK // w)                   # rows per block
         for b0 in range(0, len(blk), step):
             b = slice(b0, b0 + step)
@@ -240,10 +257,11 @@ def _nearest_in(xyzs, k, blk, cand, table, q, self_col, out):
     # two sums, the same for every pair wherever it is computed; BLAS would
     # round it differently per call shape
     xb, yb, zb, sqb = xyzs[:, blk, None]
+    buf = _scratch("block", (4, len(blk), table.shape[1]))
     if len(table) > 1:  # rows gather their cells' rows; the products overwrite them
-        xc, yc, zc, sqc = buf = cand.take(q, axis=1)
+        xc, yc, zc, sqc = cand.take(q, axis=1, out=buf, mode="clip")
     else:  # a one-cell table (a dense cell) is broadcast instead
-        (xc, yc, zc, sqc), buf = cand, (None,) * 4
+        xc, yc, zc, sqc = cand
     dot = np.multiply(xc, xb, out=buf[0])
     dot += np.multiply(yc, yb, out=buf[1])
     dot += np.multiply(zc, zb, out=buf[2])
@@ -253,7 +271,11 @@ def _nearest_in(xyzs, k, blk, cand, table, q, self_col, out):
     np.maximum(d2, 0.0, out=d2)  # clip rounding negatives
     m, width = d2.shape
     d2[np.arange(m), self_col] = np.inf
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    # the k-th value, from a copy of d2 partitioned in the spent dot plane;
+    # it is copied out, since the next block reuses that plane
+    np.copyto(dot, d2)
+    dot.partition(k - 1, axis=1)
+    kth = dot[:, k - 1].copy()
     # every candidate up to the k-th value, ordered by d^2 within its row:
     # flat is row-major and each row's values, padded with +inf, are sorted
     # stably, so equal d^2 keep column order, which is index order because
