@@ -101,13 +101,13 @@ def _knn_indices(pts, k):
     less the expansion's absolute rounding error (about eps * max |p|^2,
     which grows with the distance from the origin). A block side on the
     bounding box is infinitely far. Rejected points are searched again with
-    cells twice as large; once a block spans the bounding box the search is
-    brute force, so the loop ends and the result is always exact. Cost is
-    O(n k) time on clouds evenly spread over a curve, surface or volume, and
-    O(n^2) at worst (one dense cluster plus far outliers). Candidates are
-    per-chunk tables, a row per query cell padded with a sentinel at d^2 =
-    +inf; scratch beyond O(n) is a few _KNN_BLOCK-entry arrays, the float
-    ones in the calling thread's kept buffers (see _scratch).
+    cells twice as large until rejected rows x n fit _KNN_BLOCK, then
+    against all n points; a block spanning the bounding box is brute force
+    too, so the result is always exact. Cost is O(n k) time on clouds
+    evenly spread over a curve, surface or volume, O(n^2) at worst (a dense
+    cluster plus far outliers). Candidates are per-chunk tables, a row per
+    query cell padded with a sentinel at d^2 = +inf; scratch beyond O(n) is
+    a few _KNN_BLOCK-entry arrays, the float ones kept per thread (_scratch).
     """
     n = len(pts)
     if not 0 < k < n:
@@ -116,8 +116,10 @@ def _knn_indices(pts, k):
     # |p|^2 = +inf, so its d^2 to any point is +inf
     x, y, z = pts.T
     xyzs = np.append([x, y, z, x * x + y * y + z * z], [[0.0], [0.0], [0.0], [np.inf]], axis=1)
-    lo = pts.min(axis=0)
-    extent = pts.max(axis=0) - lo
+    # reduced along xyzs's contiguous rows: pts.min(axis=0), down (n, 3)
+    # columns, is several times slower
+    lo = xyzs[:3, :n].min(axis=1)
+    extent = xyzs[:3, :n].max(axis=1) - lo
     # error bound for a computed d^2 (under 20 eps max|p|^2) plus that of
     # the squared block distance (under 60 eps max|p|^2), with margin
     slack = 128.0 * (_EPS * xyzs[3, :n].max() + _TINY)
@@ -136,9 +138,11 @@ def _knn_indices(pts, k):
     rel = side / (side[0] or 1.0)
     h = side[0] * max((np.prod(rel[:d]) * k / n) ** (1.0 / d) for d in (1, 2, 3)) or 1.0
     for _ in range(16):
-        ncell, cell, key = _cells(pts, lo, extent, h)[:3]
+        ncell, cell, key = _cells(xyzs[:3, :n].T, lo, extent, h)[:3]
         occ = np.bincount(key, minlength=np.prod(ncell)).reshape(ncell)
-        block = np.pad(occ, 1)
+        # occ with a border of 0s; np.pad costs ~5x as much per call
+        block = np.zeros(ncell + 2, dtype=occ.dtype)
+        block[1:-1, 1:-1, 1:-1] = occ
         for ax in range(3):
             b = block.swapaxes(0, ax)
             block = (b[:-2] + b[1:-1] + b[2:]).swapaxes(0, ax)
@@ -152,9 +156,13 @@ def _knn_indices(pts, k):
     # the first pass's rows are a temporary, so none of its 8 n bytes is
     # held here through the search
     todo = _grid_pass(xyzs, k, np.arange(n), out, lo, extent, h, slack)
-    while todo.size:
+    while todo.size * n > _KNN_BLOCK:
         h *= 2.0
         todo = _grid_pass(xyzs, k, todo, out, lo, extent, h, slack)
+    # a few rows left: score them against all n points at once, as one cell
+    # (q = 0) whose table is every index, so each row's self column is itself
+    if todo.size:
+        _nearest_in(xyzs, k, todo, xyzs[:, None, :n], np.arange(n)[None], 0 * todo, todo, out)
     return out
 
 
@@ -202,8 +210,9 @@ def _grid_pass(xyzs, k, rows, out, lo, extent, h, slack):
 
     # every occupied query cell's 3x3x3 block at once: each of its 9 (x, y)
     # columns is a run of consecutive cells, so its points are order[s0:s0 +
-    # cnt] for the column's z range; an off-grid column is empty
-    rows = rows[np.argsort(key[rows], kind="stable")]
+    # cnt] for the column's z range; an off-grid column is empty. Rows are
+    # grouped by cell, which all n rows (the first pass) already are in order
+    rows = order if len(rows) == n else rows[np.argsort(key[rows], kind="stable")]
     first = np.flatnonzero(np.diff(key[rows], prepend=-1))
     c = cell[rows[first]]
     x, y = c[:, :1] + np.arange(9) // 3 - 1, c[:, 1:2] + np.arange(9) % 3 - 1
@@ -277,19 +286,27 @@ def _nearest_in(xyzs, k, blk, cand, table, q, self_col, out):
     dot.partition(k - 1, axis=1)
     kth = dot[:, k - 1].copy()
     # every candidate up to the k-th value, ordered by d^2 within its row:
-    # flat is row-major and each row's values, padded with +inf, are sorted
-    # stably, so equal d^2 keep column order, which is index order because
-    # table rows are ascending. A row has at least k finite entries, so the
-    # +inf padding never reaches its first k
+    # flat is row-major and each row's values are sorted stably, so equal
+    # d^2 keep column order, which is index order because table rows are
+    # ascending. Each row has at least k such entries; with m k in all,
+    # each has exactly k, the usual case, so they need no padding
     flat = np.flatnonzero(d2 <= kth[:, None])
-    r = flat // width
-    first = r.searchsorted(np.arange(m))
-    pos = np.arange(len(flat)) - first[r]
-    vals = np.full((m, pos.max() + 1), np.inf)
-    vals[r, pos] = d2.ravel()[flat]
+    first, vals = ((np.arange(0, m * k, k), d2.ravel()[flat].reshape(m, k))
+                   if len(flat) == m * k else _pad_ties(flat, d2))
     pick = first[:, None] + vals.argsort(axis=1, kind="stable")[:, :k]
     out[blk] = table[q[:, None], flat[pick] % width]
     return kth
+
+
+def _pad_ties(flat, d2):
+    """Each row's first place in flat, and its values d2.flat[flat] padded with
+    +inf to the longest row; a row's first k values are finite, never padding."""
+    r = flat // d2.shape[1]
+    first = r.searchsorted(np.arange(len(d2)))
+    pos = np.arange(len(flat)) - first[r]
+    vals = np.full((len(d2), pos.max() + 1), np.inf)
+    vals[r, pos] = d2.ravel()[flat]
+    return first, vals
 
 
 def _jacobi3(a):

@@ -406,9 +406,13 @@ def test_knn_buckets_each_side_once():
     cells, grid_pass = geometry._cells, geometry._grid_pass
     rng = np.random.default_rng(20)
     # a dense cluster with few far points: its blocks hold about the whole
-    # cloud, and the far points need retries at doubled sides
+    # cloud, and the 8 far points its first pass rejects (8 x 4,096 rows x
+    # points, just _KNN_BLOCK) are brute-forced with no second pass. The
+    # 8,192-point sphere's first pass rejects too many for that, so it
+    # makes a pass at a doubled side
     cluster = np.vstack([rng.normal(0.0, 1e-3, (4088, 3)),
                          rng.normal(0.0, 10.0, (8, 3))])
+    doubled = 0
     for pts in (unit_sphere_cloud(1024, seed=16), unit_sphere_cloud(8192, seed=15),
                 _grid_plane(128, 64), cluster, np.tile([1.0, -2.0, 3.0], (2000, 1))):
         calls = []
@@ -432,7 +436,84 @@ def test_knn_buckets_each_side_once():
         sides = [h for _, h in passes[0::2]]
         assert sides[0] == sizing[-1], calls
         assert sides[1:] == [2.0 * h for h in sides[:-1]], calls
+        doubled += len(sides) > 1
         assert_array_equal(nbrs, brute_force_knn(pts, 16))
+    assert doubled  # the sides[1:] check above is not vacuous
+
+
+def _knn_paths(pts, k=16):
+    """Search pts and count the kNN's paths: grid passes and the rows each
+    rejected, row blocks scored in a pass, each call scoring the rows left
+    after the passes against all points, and blocks that padded ties."""
+    grid_pass, nearest_in, pad_ties = geometry._grid_pass, geometry._nearest_in, geometry._pad_ties
+    paths = {"rejected": [], "blocks": 0, "remainder": [], "ties": 0}
+    in_pass = []
+
+    def spy_pass(*args):
+        in_pass.append(True)
+        try:
+            paths["rejected"].append(grid_pass(*args))
+        finally:
+            in_pass.pop()
+        return paths["rejected"][-1]
+
+    def spy_nearest(xyzs, k, blk, cand, table, *rest):
+        if in_pass:
+            paths["blocks"] += 1
+        else:
+            assert_array_equal(table, [np.arange(len(pts))])
+            paths["remainder"].append(np.sort(blk))
+        return nearest_in(xyzs, k, blk, cand, table, *rest)
+
+    def spy_ties(*args):
+        paths["ties"] += 1
+        return pad_ties(*args)
+
+    with mock.patch.object(geometry, "_grid_pass", spy_pass), \
+            mock.patch.object(geometry, "_nearest_in", spy_nearest), \
+            mock.patch.object(geometry, "_pad_ties", spy_ties):
+        nbrs = _knn_indices(pts, k)
+    assert_array_equal(nbrs, brute_force_knn(pts, k))
+    return paths
+
+
+def test_knn_takes_each_path():
+    # each path of the search is used where it should be, so none goes
+    # unused unnoticed. A 1,024-point sphere makes one grid pass; the few
+    # rows it rejects (none at seed 16, 3 at seed 21) are brute-forced in
+    # one call. An 8,192-point sphere rejects too many rows for that
+    # (rows x n > _KNN_BLOCK) and makes a pass at a doubled side. On a
+    # sphere no row ties its k-th value, so every block selects exactly k
+    # per row; the grid plane's exact ties take the padded selection
+    for seed, rows in ((16, 0), (21, 3)):
+        paths = _knn_paths(unit_sphere_cloud(1024, seed=seed))
+        assert [len(r) for r in paths["rejected"]] == [rows]
+        assert len(paths["remainder"]) == (rows > 0)
+        assert all(np.array_equal(got, np.sort(paths["rejected"][0]))
+                   for got in paths["remainder"])
+        assert paths["blocks"] and paths["ties"] == 0
+    paths = _knn_paths(unit_sphere_cloud(8192, seed=15))
+    first = len(paths["rejected"][0])
+    assert first * 8192 > geometry._KNN_BLOCK and len(paths["rejected"]) >= 2
+    assert paths["blocks"] and paths["ties"] == 0
+    paths = _knn_paths(_grid_plane(128, 64))
+    assert paths["ties"] > 0
+
+
+def test_knn_remainder_boundary():
+    # rejected rows x n at _KNN_BLOCK are brute-forced after the first
+    # pass; one entry past it, they take a pass at a doubled side. Either
+    # way the result is exact
+    for pts in (unit_sphere_cloud(1024, seed=23), _dense_cluster(20)):
+        rows = len(_knn_paths(pts)["rejected"][0])
+        assert rows
+        with mock.patch.object(geometry, "_KNN_BLOCK", rows * len(pts)):
+            paths = _knn_paths(pts)
+        assert [len(r) for r in paths["rejected"]] == [rows]
+        assert [len(r) for r in paths["remainder"]] == [rows]
+        with mock.patch.object(geometry, "_KNN_BLOCK", rows * len(pts) - 1):
+            paths = _knn_paths(pts)
+        assert len(paths["rejected"][0]) == rows and len(paths["rejected"]) >= 2
 
 
 def test_knn_frees_grid_coordinates_before_search():
