@@ -27,9 +27,11 @@ value rules run once, on either's rows (_fileio, metrics).
 import contextlib
 import hashlib
 import os
+import signal
 import struct
 import sys
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -249,8 +251,6 @@ def _init_worker():
     """Set up a pool worker: Ctrl-C is for the parent alone to handle, and
     the worker exits when the parent dies, so a killed run leaves no process."""
     import multiprocessing
-    import signal
-    import threading
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent = multiprocessing.parent_process()
@@ -263,8 +263,6 @@ def _start_method():
     # 3.12, which warns on forking a process with threads) and no other
     # Python thread runs, since a fork copies no other thread, nor any lock
     # one holds; numpy's OpenBLAS threads have fork handlers. Else spawn.
-    import threading
-
     linux_default = sys.platform == "linux" and sys.version_info < (3, 12)
     return "fork" if linux_default and threading.active_count() == 1 else "spawn"
 
@@ -274,27 +272,43 @@ def _run(entries, args, threads, keep_going):
     (rows, failures) in entry order, returned once every worker has stopped."""
     # imported here, not at module top, so that `import noisebench` stays fast
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor, wait
 
     if threads is None:
         cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         threads = min(32, len(cpus) if cpus else os.cpu_count() or 1)
-    rows, failures = [], []
-    with ProcessPoolExecutor(max_workers=min(threads, max(len(entries), 1)),
-                             mp_context=multiprocessing.get_context(_start_method()),
-                             initializer=_init_worker) as pool:
+    rows, failures, sigints = [], [], []
+    # Python's Ctrl-C handler raises wherever the main thread is, which can be
+    # inside a lock or condition wait of concurrent.futures, and hang or break
+    # the pool. While the pool runs, the handler only records the signal, and
+    # the loop, waking at least every 0.05 s, stops the run and raises it here
+    defer = (threading.current_thread() is threading.main_thread()
+             and signal.getsignal(signal.SIGINT) is signal.default_int_handler)
+    pool = ProcessPoolExecutor(max_workers=min(threads, max(len(entries), 1)),
+                               mp_context=multiprocessing.get_context(_start_method()),
+                               initializer=_init_worker)
+    if defer:
+        signal.signal(signal.SIGINT, lambda *_: sigints.append(1))
+    try:
         futures = [pool.submit(_corrupt_one, entry, *args) for entry in entries]
-        try:
-            for entry, fut in zip(entries, futures):
-                try:
-                    rows.append(fut.result())
-                except Exception as exc:
-                    if not keep_going:
-                        raise GenerationError(entry.sample_id, exc) from exc
-                    failures.append((entry.sample_id, str(exc)))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        for entry, fut in zip(entries, futures):
+            while not (sigints or wait([fut], timeout=0.05).done):
+                pass
+            if sigints:
+                break
+            try:
+                rows.append(fut.result())
+            except Exception as exc:
+                if not keep_going:
+                    raise GenerationError(entry.sample_id, exc) from exc
+                failures.append((entry.sample_id, str(exc)))
+    finally:
+        # all done, or an error or interrupt: cancel what no worker has yet
+        pool.shutdown(cancel_futures=True)
+        if defer:
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+    if sigints:
+        raise KeyboardInterrupt
     return rows, failures
 
 
@@ -324,8 +338,9 @@ def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False
     """Corrupt every manifest sample at one tier and write the output tree.
 
     Layout: out_dir/<tier>/<sample_id>.xyzn plus out_dir/<tier>/summary.csv.
-    Sample ids must be distinct plain file names, as read_manifest requires;
-    ValueError otherwise, before out_dir is made or any worker starts.
+    Sample ids must be distinct plain file names, as read_manifest requires,
+    and `scale`, a factor applied to every cloud first, if given, finite and
+    > 0; ValueError otherwise, before out_dir is made or any worker starts.
     Samples run in at most `threads` worker processes (default: the CPUs
     this process may run on, at most 32), started as _start_method says;
     a spawned worker imports the caller's main module, which must then
@@ -351,6 +366,8 @@ def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False
     for prev, sid in zip([None, *ids], ids):  # sorted, so a repeat follows its first
         if sid == prev or not _is_plain_name(sid):
             raise ValueError(f"sample_id {sid!r} repeats or is not a plain file name")
+    if scale is not None and not 0.0 < scale < np.inf:
+        raise ValueError(f"scale must be finite and > 0, got {scale!r}")
     out_dir = Path(out_dir)
     with _publish(out_dir, config.name) as tier_dir:
         rows, failures = _run(entries, (config, scale, tier_dir, manifest.base_dir),

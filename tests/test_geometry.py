@@ -235,7 +235,8 @@ def test_knn_scratch_memory_bounded():
 
 
 def test_knn_threads_match_serial():
-    # two searches at once, switching often, must not share scratch state
+    # two searches at once, switching often, give the serial answers: the
+    # search keeps no state between calls or across threads
     clouds = (unit_sphere_cloud(1024, seed=16), _grid_plane(128, 64))
     serial = [_knn_indices(pts, 16) for pts in clouds]
     results = [[], []]
@@ -270,15 +271,10 @@ def _dense_cluster(seed):
     return np.vstack([rng.normal(0.0, 1e-3, (4088, 3)), rng.normal(0.0, 10.0, (8, 3))])
 
 
-def _kept_scratch():
-    """The calling thread's kept kNN buffers, by name."""
-    return dict(vars(geometry._SCRATCH))
-
-
 def test_knn_stale_scratch_never_leaks():
-    # every scratch entry a block reads, it (or its chunk) wrote first: a
-    # search after one that left NaN in the thread's buffers is still exact.
-    # At _KNN_BLOCK = 7 every request is past the cap and gets a fresh array
+    # every entry of its uninitialised (np.empty) scratch a block reads, it
+    # (or its chunk) wrote first, so the search is exact at any block size:
+    # at _KNN_BLOCK = 7, where most blocks hold one row, and at the default
     nearest_in = geometry._nearest_in
     clouds = (unit_sphere_cloud(1024, seed=21), _grid_plane(128, 64), _dense_cluster(22))
     one_cell = []
@@ -287,77 +283,14 @@ def test_knn_stale_scratch_never_leaks():
         one_cell.append(len(table) == 1)
         return nearest_in(xyzs, k, blk, cand, table, *rest)
 
-    _knn_indices(clouds[0], 16)  # the buffers exist
     for pts in clouds:
         want = brute_force_knn(pts, 16)
         for block in (7, geometry._KNN_BLOCK):
             one_cell.clear()
-            for buf in _kept_scratch().values():
-                buf.fill(np.nan)
             with mock.patch.object(geometry, "_KNN_BLOCK", block), \
                     mock.patch.object(geometry, "_nearest_in", spy):
                 assert_array_equal(_knn_indices(pts, 16), want)
     assert one_cell[0]  # the cluster's widest block, searched first, is one broadcast cell
-
-
-def test_knn_scratch_reused_per_thread():
-    # two searches in one thread score candidates in the same kept memory;
-    # another thread starts with no buffers and never gets this one's
-    scratch = geometry._scratch
-    _knn_indices(unit_sphere_cloud(1024, seed=23), 16)
-    kept = _kept_scratch()
-    got = []
-
-    def spy(name, shape):
-        got.append((name, scratch(name, shape)))
-        return got[-1][1]
-
-    with mock.patch.object(geometry, "_scratch", spy):
-        for pts in (unit_sphere_cloud(1024, seed=24), _grid_plane(128, 64)):
-            _knn_indices(pts, 16)
-    assert sorted(kept) == ["block", "cand"]
-    assert {name for name, _ in got} == {"block", "cand"}
-    assert all(np.shares_memory(a, kept[name]) for name, a in got)
-    assert all(_kept_scratch()[name] is buf for name, buf in kept.items())
-
-    other = []
-    thread = threading.Thread(target=lambda: (
-        other.append(_kept_scratch()),
-        _knn_indices(unit_sphere_cloud(1024, seed=23), 16),
-        other.append(_kept_scratch())))
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive()
-    assert other[0] == {} and sorted(other[1]) == ["block", "cand"]
-    assert not any(np.shares_memory(a, b) for a in other[1].values() for b in kept.values())
-
-
-def test_knn_kept_scratch_bounded():
-    # a thread keeps at most 4 _KNN_BLOCK float64 entries per buffer; a
-    # larger request gets a fresh array that is not kept, which at
-    # _KNN_BLOCK = 7 is every request
-    cap = 4 * geometry._KNN_BLOCK
-    kept = []
-
-    def run():
-        kept.append(_kept_scratch())
-        with mock.patch.object(geometry, "_KNN_BLOCK", 7):
-            _knn_indices(unit_sphere_cloud(1024, seed=25), 16)
-        kept.append(_kept_scratch())
-        _knn_indices(_dense_cluster(26), 16)
-        kept.append(_kept_scratch())
-        with mock.patch.object(geometry, "_KNN_BLOCK", 7):
-            _knn_indices(_dense_cluster(26), 16)
-        kept.append(_kept_scratch())
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    thread.join(timeout=120)
-    assert not thread.is_alive()
-    assert kept[:2] == [{}, {}], kept
-    assert sorted(kept[3]) == ["block", "cand"]
-    assert all(buf.size <= cap for buf in kept[3].values())
-    assert all(kept[3][name] is buf for name, buf in kept[2].items())
 
 
 def test_knn_matches_brute_force_large_clouds():

@@ -5,6 +5,7 @@ import csv
 import functools
 import hashlib
 import importlib.util
+import math
 import multiprocessing
 import os
 import pickle
@@ -956,6 +957,17 @@ def test_generate_benchmark_scale(tmp_path):
     assert_array_equal(cols.sigma, expected.sigma)
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_generate_benchmark_refuses_bad_scale(tmp_path, scale):
+    # a zero scale collapses every cloud onto the origin and a negative one
+    # mirrors it; like the CLI's --scale, the library refuses both up front
+    manifest = read_manifest(write_benchmark_manifest(tmp_path, 2, 64, seed=62))
+    with pytest.raises(ValueError, match="scale"):
+        generate_benchmark(manifest, preset_config("moderate"), tmp_path / "out",
+                           scale=scale)
+    assert not (tmp_path / "out").exists()
+
+
 def test_generate_benchmark_fail_fast(tmp_path):
     manifest_path = write_benchmark_manifest(tmp_path, 3, 48, seed=63)
     with open(manifest_path, "a", encoding="utf-8") as fh:
@@ -1092,12 +1104,16 @@ def test_generate_benchmark_interrupt_stops_run(tmp_path, monkeypatch):
 
 def test_generate_benchmark_sigint_stops_run(tmp_path, monkeypatch, start_method,
                                              default_sigint):
-    # a real Ctrl-C reaches the parent alone; the worker finishes its sample
+    # a real Ctrl-C reaches the parent alone; the worker finishes its sample.
+    # _run raises it between waits, not the handler wherever it lands, which
+    # can be inside a lock or condition wait of concurrent.futures
     manifest = read_manifest(write_benchmark_manifest(tmp_path, 6, 48, seed=68))
     monkeypatch.setattr(pipeline, "_corrupt_one",
                         functools.partial(_scripted_corrupt_one, "sigint", os.getpid()))
-    with pytest.raises(KeyboardInterrupt):
+    with pytest.raises(KeyboardInterrupt) as info:
         generate_benchmark(manifest, preset_config("light"), tmp_path / "out", threads=1)
+    innermost = info.traceback[-1]
+    assert (Path(innermost.path).name, innermost.name) == ("pipeline.py", "_run")
     _check_interrupted_run(tmp_path, finished=1)
 
 
