@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 data or runtime failure, 2 usage error.
 """
 
 import argparse
-import math
 import os
 import sys
 
@@ -27,16 +26,6 @@ def _parse_sensor(text):
         return tuple(float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad sensor coordinate in {text!r}") from None
-
-
-def _parse_scale(text):
-    try:
-        scale = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad scale {text!r}") from None
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise argparse.ArgumentTypeError(f"scale must be finite and > 0, got {text!r}")
-    return scale
 
 
 def _parse_count(text):
@@ -68,7 +57,7 @@ def build_parser():
     p.add_argument("--sensor", type=_parse_sensor, default=None, metavar="X,Y,Z",
                    help="sensor position (default "
                         f"{','.join(f'{v:g}' for v in DEFAULT_SENSOR)})")
-    p.add_argument("--scale", type=_parse_scale, default=None,
+    p.add_argument("--scale", type=float, default=None,
                    help="uniform coordinate scale applied before corruption")
     p.add_argument("--threads", type=_parse_count, default=None,
                    help="worker process cap; samples are read, corrupted and "
@@ -108,8 +97,8 @@ class _UsageError(Exception):
 
 def _resolve_tier(args):
     """Preset name, or a config file path when the name matches no preset,
-    with the command-line overrides applied; _UsageError when neither
-    matches or an override fails TierConfig validation."""
+    with the recipe overrides applied; _UsageError when neither matches or
+    an override fails TierConfig validation, before the manifest is read."""
     # os.path.isfile is False, where Path.is_file raises, for a name too long
     if args.tier not in TIER_NAMES and not os.path.isfile(args.tier):
         raise _UsageError(f"{args.tier!r} is neither a preset tier "
@@ -121,7 +110,7 @@ def _resolve_tier(args):
     config = (pipeline.preset_config(args.tier) if args.tier in TIER_NAMES
               else pipeline.read_tier_config(args.tier))
     overrides = {"global_seed": args.seed, "normal_k": args.normal_k,
-                 "sensor": args.sensor}
+                 "sensor": args.sensor, "scale": args.scale}
     try:
         return dataclasses.replace(
             config, **{key: val for key, val in overrides.items() if val is not None})
@@ -134,10 +123,8 @@ def _cmd_corrupt(args):
     from . import pipeline
 
     manifest = pipeline.read_manifest(args.manifest)
-    summary = pipeline.generate_benchmark(
-        manifest, config, args.out_dir, threads=args.threads,
-        keep_going=args.keep_going, scale=args.scale,
-    )
+    summary = pipeline.generate_benchmark(manifest, config, args.out_dir,
+                                          threads=args.threads, keep_going=args.keep_going)
     print(f"tier={summary.tier} samples={summary.sample_count} "
           f"failures={summary.failure_count} mean_sigma={summary.mean_sigma!r}")
     print(f"wrote {summary.out_dir / summary.tier}")

@@ -52,13 +52,14 @@ def _is_plain_name(name):
     return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TierConfig:
-    """Everything needed to corrupt a dataset at one noise tier.
+    """Everything needed to corrupt a dataset at one noise tier; frozen.
 
     `name` names the tier's output directory, so it must be a plain file
-    name, like a sample id (ValueError otherwise). `global_seed` must be in
-    [0, 2^64), the seeds sample_seed takes (ValueError otherwise).
+    name, like a sample id. `global_seed` must be in [0, 2^64), the seeds
+    sample_seed takes, and `scale`, applied to every clean cloud before
+    corruption, finite and > 0 (ValueError otherwise).
     """
 
     name: str
@@ -66,21 +67,24 @@ class TierConfig:
     sensor: tuple = DEFAULT_SENSOR
     normal_k: int = DEFAULT_NORMAL_K
     global_seed: int = 0
+    scale: float = 1.0
 
     def __post_init__(self):
         if not _is_plain_name(self.name):
             raise ValueError(f"tier name {self.name!r} is not a plain file name")
-        self.sensor = tuple(_as_vec3(self.sensor, "sensor").tolist())
+        object.__setattr__(self, "sensor", tuple(_as_vec3(self.sensor, "sensor").tolist()))
         _check_seed(self.global_seed, "global seed")
         if self.normal_k < 3:
             raise ValueError(f"normal_k must be >= 3, got {self.normal_k}")
+        if not 0.0 < self.scale < float("inf"):
+            raise ValueError(f"scale must be finite and > 0, got {self.scale!r}")
         if self.name == "none" and self.params != _PRESETS["none"]:
             raise ValueError("tier 'none' must carry all-zero noise parameters")
 
 
-def preset_config(name, global_seed=0):
-    """TierConfig for a built-in tier name."""
-    return TierConfig(name=name, params=tier_params(name), global_seed=global_seed)
+def preset_config(name):
+    """TierConfig for a built-in tier name; dataclasses.replace sets the rest."""
+    return TierConfig(name=name, params=tier_params(name))
 
 
 def sample_seed(global_seed, sample_id):
@@ -232,10 +236,10 @@ class GenerationSummary:
         return len(self.failures)
 
 
-def _corrupt_one(entry, config, scale, tier_dir, base_dir):
+def _corrupt_one(entry, config, tier_dir, base_dir):
     cloud = read_cloud(base_dir / entry.path)
-    if scale is not None and scale != 1.0:
-        cloud = cloud * float(scale)
+    if config.scale != 1.0:
+        cloud = cloud * config.scale
     ann = corrupt_cloud(cloud, config.sensor, config.params, k=config.normal_k,
                         seed=sample_seed(config.global_seed, entry.sample_id))
     # finite sigmas can still sum past the float range; the warning is moot
@@ -267,9 +271,10 @@ def _start_method():
     return "fork" if linux_default and threading.active_count() == 1 else "spawn"
 
 
-def _run(entries, args, threads, keep_going):
+def _run(entries, args, threads, keep_going, sigints):
     """_corrupt_one(entry, *args) per entry in a pool, as generate_benchmark says;
-    (rows, failures) in entry order, returned once every worker has stopped."""
+    (rows, failures) in entry order, returned once every worker has stopped;
+    a Ctrl-C recorded in `sigints` is raised here, between waits."""
     # imported here, not at module top, so that `import noisebench` stays fast
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, wait
@@ -277,25 +282,17 @@ def _run(entries, args, threads, keep_going):
     if threads is None:
         cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         threads = min(32, len(cpus) if cpus else os.cpu_count() or 1)
-    rows, failures, sigints = [], [], []
-    # Python's Ctrl-C handler raises wherever the main thread is, which can be
-    # inside a lock or condition wait of concurrent.futures, and hang or break
-    # the pool. While the pool runs, the handler only records the signal, and
-    # the loop, waking at least every 0.05 s, stops the run and raises it here
-    defer = (threading.current_thread() is threading.main_thread()
-             and signal.getsignal(signal.SIGINT) is signal.default_int_handler)
+    rows, failures = [], []
     pool = ProcessPoolExecutor(max_workers=min(threads, max(len(entries), 1)),
                                mp_context=multiprocessing.get_context(_start_method()),
                                initializer=_init_worker)
-    if defer:
-        signal.signal(signal.SIGINT, lambda *_: sigints.append(1))
     try:
         futures = [pool.submit(_corrupt_one, entry, *args) for entry in entries]
         for entry, fut in zip(entries, futures):
             while not (sigints or wait([fut], timeout=0.05).done):
                 pass
             if sigints:
-                break
+                raise KeyboardInterrupt
             try:
                 rows.append(fut.result())
             except Exception as exc:
@@ -305,10 +302,6 @@ def _run(entries, args, threads, keep_going):
     finally:
         # all done, or an error or interrupt: cancel what no worker has yet
         pool.shutdown(cancel_futures=True)
-        if defer:
-            signal.signal(signal.SIGINT, signal.default_int_handler)
-    if sigints:
-        raise KeyboardInterrupt
     return rows, failures
 
 
@@ -333,14 +326,13 @@ def _publish(out_dir, name):
             raise
 
 
-def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False,
-                       scale=None):
+def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False):
     """Corrupt every manifest sample at one tier and write the output tree.
 
     Layout: out_dir/<tier>/<sample_id>.xyzn plus out_dir/<tier>/summary.csv.
-    Sample ids must be distinct plain file names, as read_manifest requires,
-    and `scale`, a factor applied to every cloud first, if given, finite and
-    > 0; ValueError otherwise, before out_dir is made or any worker starts.
+    Sample ids must be distinct plain file names, as read_manifest requires
+    (ValueError otherwise, before out_dir is made or any worker starts); the
+    rest of the recipe, `scale` included, is `config`, checked when built.
     Samples run in at most `threads` worker processes (default: the CPUs
     this process may run on, at most 32), started as _start_method says;
     a spawned worker imports the caller's main module, which must then
@@ -357,23 +349,38 @@ def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False
     SIGINT and exit when this process dies.
     The tree is built in a hidden out_dir/.<tier>.* directory and replaces
     out_dir/<tier> only when the run finishes, so a failed or interrupted
-    run leaves an earlier tree as it was. A killed run may leave that
-    hidden directory behind (holding the earlier tree as `old` if killed
-    between the two renames); delete it by hand.
+    run leaves an earlier tree as it was; a Ctrl-C after the last sample
+    finished is raised once the tree is published. A killed run may leave
+    that hidden directory behind (holding the earlier tree as `old` if
+    killed between the two renames); delete it by hand.
     """
     entries = sorted(manifest.entries, key=lambda e: e.sample_id)
     ids = [str(entry.sample_id) for entry in entries]  # as the file names spell them
     for prev, sid in zip([None, *ids], ids):  # sorted, so a repeat follows its first
         if sid == prev or not _is_plain_name(sid):
             raise ValueError(f"sample_id {sid!r} repeats or is not a plain file name")
-    if scale is not None and not 0.0 < scale < np.inf:
-        raise ValueError(f"scale must be finite and > 0, got {scale!r}")
-    out_dir = Path(out_dir)
-    with _publish(out_dir, config.name) as tier_dir:
-        rows, failures = _run(entries, (config, scale, tier_dir, manifest.base_dir),
-                              threads, keep_going)
-        write_csv(tier_dir / "summary.csv", SUMMARY_HEADER,
-                  ([sid, label, fmt(ms), fmt(mm), oc] for sid, label, ms, mm, oc in rows))
+    out_dir, sigints = Path(out_dir), []
+    # Python's Ctrl-C handler raises wherever the main thread is: inside a
+    # lock or condition wait of concurrent.futures, where it can hang or break
+    # the pool, or as a with block ends, before its cleanup. While the tree is
+    # built and published, the handler only records the signal; _run's loop,
+    # waking at least every 0.05 s, stops the run and raises it, and one
+    # recorded after the loop is raised once the tree is published
+    defer = (threading.current_thread() is threading.main_thread()
+             and signal.getsignal(signal.SIGINT) is signal.default_int_handler)
+    if defer:
+        signal.signal(signal.SIGINT, lambda *_: sigints.append(1))
+    try:
+        with _publish(out_dir, config.name) as tier_dir:
+            rows, failures = _run(entries, (config, tier_dir, manifest.base_dir),
+                                  threads, keep_going, sigints)
+            write_csv(tier_dir / "summary.csv", SUMMARY_HEADER,
+                      ([sid, label, fmt(ms), fmt(mm), oc] for sid, label, ms, mm, oc in rows))
+    finally:
+        if defer:
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+    if sigints:
+        raise KeyboardInterrupt
 
     m = np.array([r[2] for r in rows])
     # the sum of finite means can overflow; scaling by a power of two above

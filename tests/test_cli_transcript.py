@@ -42,6 +42,7 @@ FILES = {
     "big.xyz": _BIG.encode() + b"\xff\n",
     "m_long.csv": f"sample_id,label,path\n{_LONG},0,c.xyz\n",
     "out_all.cfg": "p_out=1.0\n",
+    "rec.cfg": "a=0.005\nb=0.002\nc=2.0\nk=0.01\np_out=0.1\nglobal_seed=3\n",
     "a_neg.cfg": "a=-1\n",
     "seed_neg.cfg": "a=0.01\nglobal_seed=-5\n",
     "no_eq.cfg": "a 0.01\n",

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import dataclasses
 import functools
 import hashlib
 import importlib.util
@@ -10,6 +11,7 @@ import multiprocessing
 import os
 import pickle
 import re
+import shutil
 import signal
 import struct
 import subprocess
@@ -100,7 +102,7 @@ def test_global_seed_out_of_range_rejected(seed):
     with pytest.raises(ValueError, match="global seed"):
         sample_seed(seed, "s0")
     with pytest.raises(ValueError, match="global seed"):
-        preset_config("light", global_seed=seed)
+        dataclasses.replace(preset_config("light"), global_seed=seed)
 
 
 def test_cloud_roundtrip_exact(tmp_path):
@@ -872,7 +874,7 @@ def test_tier_config_invalid_value_is_parse_error(tmp_path, text):
 
 def test_generate_benchmark_layout_and_summary(tmp_path):
     manifest = read_manifest(write_benchmark_manifest(tmp_path, 5, 64, seed=50))
-    config = preset_config("light", global_seed=7)
+    config = dataclasses.replace(preset_config("light"), global_seed=7)
     summary = generate_benchmark(manifest, config, tmp_path / "out")
 
     tier_dir = tmp_path / "out" / "light"
@@ -915,8 +917,8 @@ def test_generate_benchmark_thread_invariant(tmp_path_factory, data):
     with open(root / "manifest.csv", "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([["sample_id", "label", "path"], *rows])
     manifest = read_manifest(root / "manifest.csv")
-    config = preset_config(data.draw(st.sampled_from(TIER_NAMES)),
-                           global_seed=data.draw(st.integers(0, 2**64 - 1)))
+    config = dataclasses.replace(preset_config(data.draw(st.sampled_from(TIER_NAMES))),
+                                 global_seed=data.draw(st.integers(0, 2**64 - 1)))
     generate_benchmark(manifest, config, root / "one", threads=1)
     generate_benchmark(manifest, config, root / "two", threads=2)
     assert tree_digest(root / "one") == tree_digest(root / "two")
@@ -924,7 +926,7 @@ def test_generate_benchmark_thread_invariant(tmp_path_factory, data):
 
 def test_generate_benchmark_repeat_identical(tmp_path):
     manifest = read_manifest(write_benchmark_manifest(tmp_path, 4, 48, seed=61))
-    config = preset_config("heavy", global_seed=12)
+    config = dataclasses.replace(preset_config("heavy"), global_seed=12)
     generate_benchmark(manifest, config, tmp_path / "a")
     generate_benchmark(manifest, config, tmp_path / "b")
     assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
@@ -946,8 +948,8 @@ def test_generate_benchmark_rerun_any_tier_name(tmp_path):
 
 def test_generate_benchmark_scale(tmp_path):
     manifest = read_manifest(write_benchmark_manifest(tmp_path, 1, 64, seed=62))
-    config = preset_config("moderate", global_seed=5)
-    generate_benchmark(manifest, config, tmp_path / "out", scale=2.0)
+    config = dataclasses.replace(preset_config("moderate"), global_seed=5, scale=2.0)
+    generate_benchmark(manifest, config, tmp_path / "out")
     entry = manifest.entries[0]
     expected = corrupt_cloud(read_cloud(manifest.base_dir / entry.path) * 2.0,
                              config.sensor, config.params, k=config.normal_k,
@@ -958,14 +960,17 @@ def test_generate_benchmark_scale(tmp_path):
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
-def test_generate_benchmark_refuses_bad_scale(tmp_path, scale):
+def test_generate_benchmark_refuses_bad_scale(scale):
     # a zero scale collapses every cloud onto the origin and a negative one
-    # mirrors it; like the CLI's --scale, the library refuses both up front
-    manifest = read_manifest(write_benchmark_manifest(tmp_path, 2, 64, seed=62))
-    with pytest.raises(ValueError, match="scale"):
-        generate_benchmark(manifest, preset_config("moderate"), tmp_path / "out",
-                           scale=scale)
-    assert not (tmp_path / "out").exists()
+    # mirrors it; the recipe refuses both when it is built, so no run starts,
+    # and it is frozen, so none is set past that check
+    with pytest.raises(ValueError, match="scale must be finite and > 0"):
+        TierConfig(name="custom", params=tier_params("none"), scale=scale)
+    config = preset_config("moderate")
+    with pytest.raises(ValueError, match="scale must be finite and > 0"):
+        dataclasses.replace(config, scale=scale)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.scale = scale
 
 
 def test_generate_benchmark_fail_fast(tmp_path):
@@ -1044,7 +1049,7 @@ def test_generate_benchmark_called_from_a_thread(tmp_path, monkeypatch):
 _REAL_CORRUPT_ONE = pipeline._corrupt_one
 
 
-def _scripted_corrupt_one(action, parent, entry, config, scale, tier_dir, base_dir):
+def _scripted_corrupt_one(action, parent, entry, config, tier_dir, base_dir):
     """_corrupt_one run in a pool worker, leaving a marker file per call.
 
     At sample s0001 it does `action`: "raise" raises KeyboardInterrupt, which
@@ -1063,7 +1068,7 @@ def _scripted_corrupt_one(action, parent, entry, config, scale, tier_dir, base_d
             os._exit(1)
     if entry.sample_id >= "s0001":
         time.sleep(0.2)
-    return _REAL_CORRUPT_ONE(entry, config, scale, tier_dir, base_dir)
+    return _REAL_CORRUPT_ONE(entry, config, tier_dir, base_dir)
 
 
 @pytest.fixture
@@ -1127,7 +1132,7 @@ def test_generate_benchmark_rerun_replaces_tree_whole(tmp_path, monkeypatch, cas
     generate_benchmark(read_manifest(manifest_path), preset_config("light"), out,
                        threads=1)
     before = tree_digest(out / "light")
-    config = preset_config("light", global_seed=1)
+    config = dataclasses.replace(preset_config("light"), global_seed=1)
     if case == "fail_fast":
         with open(manifest_path, "a", encoding="utf-8") as fh:
             fh.write("broken,0,clouds/missing.xyz\n")
@@ -1173,10 +1178,65 @@ def test_generate_benchmark_interrupted_swap_keeps_tree(tmp_path, monkeypatch):
         return rename(self, target)
 
     monkeypatch.setattr(Path, "rename", interrupted)
+    config = dataclasses.replace(preset_config("light"), global_seed=1)
     with pytest.raises(KeyboardInterrupt):
-        generate_benchmark(manifest, preset_config("light", 1), out, threads=1)
+        generate_benchmark(manifest, config, out, threads=1)
     assert [p.name for p in out.iterdir()] == ["light"]  # no staging left
     assert tree_digest(out / "light") == before
+
+
+def test_generate_benchmark_interrupt_sweep(tmp_path, monkeypatch, default_sigint):
+    # a Ctrl-C at every line the run's own frames execute, one run each.
+    # The hook delivers it as Python delivers a real SIGINT, by calling the
+    # handler installed at that moment: Python's own raises KeyboardInterrupt
+    # there, the run's deferring one records it. Each wait blocks until its
+    # sample is done, so the line events do not depend on timing
+    manifest = read_manifest(write_benchmark_manifest(tmp_path, 3, 48, seed=73))
+    earlier = tmp_path / "earlier"
+    generate_benchmark(manifest, preset_config("light"), earlier, threads=1)
+    config = dataclasses.replace(preset_config("light"), global_seed=1)
+    generate_benchmark(manifest, config, tmp_path / "whole", threads=1)
+    before, after = tree_digest(earlier / "light"), tree_digest(tmp_path / "whole" / "light")
+    wait = concurrent.futures.wait
+    monkeypatch.setattr(concurrent.futures, "wait", lambda fs, timeout=None: wait(fs))
+    codes = {pipeline._run.__code__, pipeline._publish.__wrapped__.__code__,
+             pipeline.generate_benchmark.__code__}
+    outcomes = set()
+    for stop in range(1, 1000):
+        events = []
+
+        def line(frame, event, arg, events=events, stop=stop):
+            if event == "line":
+                events.append(frame.f_code.co_name)
+                if len(events) == stop:
+                    signal.getsignal(signal.SIGINT)(signal.SIGINT, frame)
+            return line
+
+        out = tmp_path / f"out{stop}"
+        shutil.copytree(earlier, out)
+        sys.settrace(lambda frame, event, arg: line if frame.f_code in codes else None)
+        try:
+            generate_benchmark(manifest, config, out, threads=1)
+            done = True
+        except KeyboardInterrupt:
+            # cleaned up by the run itself: checked while the traceback, and
+            # with it every frame of the run, is still held, as an
+            # interactive session holds it
+            assert [p.name for p in out.iterdir()] == ["light"], stop
+            done = False
+        finally:
+            sys.settrace(None)
+        assert [p.name for p in out.iterdir()] == ["light"]  # no staging left
+        outcomes.add(tree_digest(out / "light"))
+        assert outcomes <= {before, after}  # the earlier tree, or the new one whole
+        assert multiprocessing.active_children() == []
+        assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+        if done:
+            break
+    # the last run met no Ctrl-C: every line before it stopped its run
+    assert len(events) == stop - 1
+    assert set(events) == {"generate_benchmark", "_publish", "_run"}
+    assert outcomes == {before, after}
 
 
 def test_generate_benchmark_worker_death(tmp_path, monkeypatch, capsys, start_method):
@@ -1188,9 +1248,9 @@ def test_generate_benchmark_worker_death(tmp_path, monkeypatch, capsys, start_me
     before = tree_digest(out / "light")
     monkeypatch.setattr(pipeline, "_corrupt_one",
                         functools.partial(_scripted_corrupt_one, "die", os.getpid()))
+    config = dataclasses.replace(preset_config("light"), global_seed=1)
     with pytest.raises(GenerationError) as info:
-        generate_benchmark(read_manifest(manifest_path), preset_config("light", 1), out,
-                           threads=1)
+        generate_benchmark(read_manifest(manifest_path), config, out, threads=1)
     assert info.value.sample_id == "s0001"
     assert tree_digest(out / "light") == before
     assert [p.name for p in out.iterdir()] == ["light"]
@@ -1210,7 +1270,7 @@ _KILLED_RUN = """
 import os, sys, time
 from noisebench import generate_benchmark, pipeline, preset_config, read_manifest
 
-def hold(entry, config, scale, tier_dir, base_dir):
+def hold(entry, config, tier_dir, base_dir):
     (base_dir / f"{os.getpid()}.worker").touch()
     time.sleep(120)
 
