@@ -46,6 +46,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("corrupt", help="corrupt a manifest of clean clouds")
+    p.set_defaults(run=_cmd_corrupt)
     p.add_argument("manifest", help="manifest CSV (sample_id,label,path)")
     p.add_argument("tier", help="preset tier name or path to a key=value "
                                 "tier config file")
@@ -66,6 +67,7 @@ def build_parser():
                    help="continue past failing samples and report them")
 
     p = sub.add_parser("evaluate", help="score predictions against a sigma summary")
+    p.set_defaults(run=_cmd_evaluate)
     p.add_argument("predictions", help="predictions CSV")
     p.add_argument("sigma_summary", help="sigma summary CSV from corrupt")
     p.add_argument("--bins", type=_parse_count, default=DEFAULT_BINS,
@@ -74,6 +76,7 @@ def build_parser():
                    help="write report.txt and curve.csv to DIR")
 
     p = sub.add_parser("stratify", help="sigma-stratified ECE pooled over tiers")
+    p.set_defaults(run=_cmd_stratify)
     p.add_argument("--preds", nargs="+", required=True, metavar="CSV",
                    help="prediction CSVs, one per tier")
     p.add_argument("--sigmas", nargs="+", required=True, metavar="CSV",
@@ -86,6 +89,7 @@ def build_parser():
                    help="write stratified.csv to DIR")
 
     p = sub.add_parser("params", help="print a preset tier's parameters")
+    p.set_defaults(run=_cmd_params)
     p.add_argument("tier", help="tier name: " + ", ".join(TIER_NAMES))
 
     return parser
@@ -181,14 +185,6 @@ def _cmd_params(args):
     return 0
 
 
-_HANDLERS = {
-    "corrupt": _cmd_corrupt,
-    "evaluate": _cmd_evaluate,
-    "stratify": _cmd_stratify,
-    "params": _cmd_params,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     try:
@@ -197,7 +193,7 @@ def main(argv=None):
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (_UsageError, NoiseBenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (_UsageError, UnknownTier)) else 1

@@ -397,7 +397,6 @@ def estimate_normals(points, k, sensor):
     # so the unit-length contract holds exactly where it is cheap to enforce
     normals /= np.linalg.norm(normals, axis=1)[:, None]
 
-    if degenerate.any():
-        normals[degenerate] = -_unit_rays(pts[degenerate], sensor)
+    normals[degenerate] = -_unit_rays(pts[degenerate], sensor)
 
     return NormalEstimate(vectors=normals, degenerate=degenerate)

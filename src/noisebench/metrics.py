@@ -215,14 +215,11 @@ def quartile_bins(values, groups=DEFAULT_QUARTILES):
     if v.size < groups:
         raise TooFewValues(f"need at least {groups} values, got {v.size}")
 
-    order = np.argsort(v, kind="stable")
-    base, extra = divmod(v.size, groups)
-    sizes = [base + 1] * extra + [base] * (groups - extra)
+    parts = np.array_split(np.argsort(v, kind="stable"), groups)
     assignment = np.empty(v.size, dtype=np.intp)
-    assignment[order] = np.repeat(np.arange(groups), sizes)
-    ends = np.cumsum(sizes)
-    boundaries = [(float(v[order[end - size]]), float(v[order[end - 1]]))
-                  for size, end in zip(sizes, ends)]
+    for g, part in enumerate(parts):
+        assignment[part] = g
+    boundaries = [(float(v[part[0]]), float(v[part[-1]])) for part in parts]
     return boundaries, assignment
 
 

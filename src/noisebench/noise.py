@@ -95,9 +95,7 @@ def inject_outliers(points, p_out, bbox, rng):
 
     out = pts.copy()
     mask = rng.random(len(pts)) < p_out
-    count = int(mask.sum())
-    if count:
-        out[mask] = lo + rng.random((count, 3)) * (hi - lo)
+    out[mask] = lo + rng.random((int(mask.sum()), 3)) * (hi - lo)
     return out, mask
 
 

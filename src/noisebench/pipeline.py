@@ -237,9 +237,7 @@ class GenerationSummary:
 
 
 def _corrupt_one(entry, config, tier_dir, base_dir):
-    cloud = read_cloud(base_dir / entry.path)
-    if config.scale != 1.0:
-        cloud = cloud * config.scale
+    cloud = read_cloud(base_dir / entry.path) * config.scale
     ann = corrupt_cloud(cloud, config.sensor, config.params, k=config.normal_k,
                         seed=sample_seed(config.global_seed, entry.sample_id))
     # finite sigmas can still sum past the float range; the warning is moot

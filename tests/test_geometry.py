@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
+import shapes
 from conftest import brute_force_knn, unit_sphere_cloud
 from noisebench import (DegenerateRay, InsufficientPoints, estimate_normals,
                         incidence_cosine, perturb_points, range_to_sensor)
@@ -271,10 +272,11 @@ def _dense_cluster(seed):
     return np.vstack([rng.normal(0.0, 1e-3, (4088, 3)), rng.normal(0.0, 10.0, (8, 3))])
 
 
-def test_knn_stale_scratch_never_leaks():
-    # every entry of its uninitialised (np.empty) scratch a block reads, it
-    # (or its chunk) wrote first, so the search is exact at any block size:
-    # at _KNN_BLOCK = 7, where most blocks hold one row, and at the default
+def test_knn_tiny_blocks_on_sphere_plane_and_cluster():
+    # the search is exact at _KNN_BLOCK = 7, where most blocks hold one row,
+    # and at the default, on a sphere, the tie plane and the dense cluster,
+    # so a block reads only entries of its np.empty buffers that it (or its
+    # chunk) wrote
     nearest_in = geometry._nearest_in
     clouds = (unit_sphere_cloud(1024, seed=21), _grid_plane(128, 64), _dense_cluster(22))
     one_cell = []
@@ -291,6 +293,15 @@ def test_knn_stale_scratch_never_leaks():
                     mock.patch.object(geometry, "_nearest_in", spy):
                 assert_array_equal(_knn_indices(pts, 16), want)
     assert one_cell[0]  # the cluster's widest block, searched first, is one broadcast cell
+
+
+def test_knn_matches_brute_force_on_tables():
+    # ModelNet-like clouds: a table's thin top and legs make the first pass
+    # reject tens of rows where a sphere rejects a few, and most take a
+    # pass at a doubled side
+    for seed in range(20):
+        pts = shapes.table(1024, seed)
+        assert_array_equal(_knn_indices(pts, 16), brute_force_knn(pts, 16))
 
 
 def test_knn_matches_brute_force_large_clouds():
@@ -417,7 +428,8 @@ def test_knn_takes_each_path():
     # one call. An 8,192-point sphere rejects too many rows for that
     # (rows x n > _KNN_BLOCK) and makes a pass at a doubled side. On a
     # sphere no row ties its k-th value, so every block selects exactly k
-    # per row; the grid plane's exact ties take the padded selection
+    # per row; the grid plane's exact ties take the padded selection. A
+    # 1,024-point table rejects too many rows too (43 at seed 0)
     for seed, rows in ((16, 0), (21, 3)):
         paths = _knn_paths(unit_sphere_cloud(1024, seed=seed))
         assert [len(r) for r in paths["rejected"]] == [rows]
@@ -429,6 +441,9 @@ def test_knn_takes_each_path():
     first = len(paths["rejected"][0])
     assert first * 8192 > geometry._KNN_BLOCK and len(paths["rejected"]) >= 2
     assert paths["blocks"] and paths["ties"] == 0
+    paths = _knn_paths(shapes.table(1024, seed=0))
+    first = len(paths["rejected"][0])
+    assert first * 1024 > geometry._KNN_BLOCK and len(paths["rejected"]) >= 2
     paths = _knn_paths(_grid_plane(128, 64))
     assert paths["ties"] > 0
 

@@ -193,6 +193,25 @@ def test_inject_outliers_validation():
         inject_outliers(pts, 0.5, (np.ones(3), np.zeros(3)), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("key", [0, (2 << 64) | 12345])
+def test_philox_uniforms_are_top_53_bits(key):
+    # outlier bytes rest on Generator.random being the top 53 bits of each
+    # raw Philox word; a numpy release that changes it fails here by name
+    drawn = np.random.Generator(np.random.Philox(key=key)).random(100_000)
+    raw = np.random.Philox(key=key).random_raw(100_000)
+    assert drawn.tobytes() == ((raw >> np.uint64(11)) * 2.0**-53).tobytes()
+
+
+def test_philox_zero_size_draw_leaves_state():
+    # inject_outliers draws its (0, 3) coordinate block when no point is
+    # replaced, so that draw must not move the stream
+    gen = np.random.Generator(np.random.Philox(key=(2 << 64) | 7))
+    gen.random(5)
+    before = pickle.dumps(gen.bit_generator.state)
+    assert gen.random((0, 3)).shape == (0, 3)
+    assert pickle.dumps(gen.bit_generator.state) == before
+
+
 def test_corrupt_none_tier_identity():
     pts = unit_sphere_cloud(300, seed=22)
     pts[::10, 1] = -0.0
