@@ -14,7 +14,9 @@ by eps ~ N(mu, sigma) along the sensor->point direction (perturb_points).
 A fraction p_out of points is then replaced by uniform draws from the
 clean cloud's axis-aligned bounding box (inject_outliers); replaced points
 keep the sigma/mu computed for their original geometry and are marked in a
-boolean mask. Every stage works on whole (n, 3) clouds.
+boolean mask. Every stage works on whole (n, 3) clouds. corrupt_cloud runs
+them in two steps: _view_geometry (normals, r, cos t), which depends only on
+the clean cloud, the sensor and k, then _apply_tier (sigma, mu, both draws).
 """
 
 from dataclasses import dataclass
@@ -151,12 +153,32 @@ def _substream(seed, purpose):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _view_geometry(pts, sensor, k):
+    """corrupt_cloud's tier-independent step, (r, cos_theta, degenerate); it draws nothing."""
+    normals = estimate_normals(pts, k, sensor)
+    return (range_to_sensor(pts, sensor), incidence_cosine(pts, normals.vectors, sensor),
+            normals.degenerate)
+
+
+def _apply_tier(pts, sensor, view, params, seed):
+    """corrupt_cloud's tier step on _view_geometry's `view`; it modifies neither input."""
+    r, cos_t, degenerate = view
+    sigma = point_sigma(r, cos_t, params)
+    mu = bias_mu(cos_t, params.k)
+    corrupted = perturb_points(pts, sensor, sigma, mu, _substream(seed, _STREAM_PERTURB))
+    corrupted, mask = inject_outliers(corrupted, params.p_out, bounding_box(pts),
+                                      _substream(seed, _STREAM_OUTLIER))
+    return AnnotatedCloud(corrupted=corrupted, sigma=sigma, mu=mu, r=r, cos_theta=cos_t,
+                          outlier=mask, degenerate_normal=degenerate, seed=int(seed))
+
+
 def corrupt_cloud(points, sensor, params, k=DEFAULT_NORMAL_K, seed=0):
     """Apply the full noise model to a clean cloud.
 
-    Stages: estimate normals on the clean cloud (k nearest neighbors),
-    evaluate sigma/mu per point, displace each point along its view ray by
-    one Gaussian draw (perturb_points), then replace a p_out fraction with
+    Two steps. _view_geometry estimates normals on the clean cloud (k
+    nearest neighbors) and gives r and cos theta. _apply_tier evaluates
+    sigma/mu per point, displaces each point along its view ray by one
+    Gaussian draw (perturb_points), then replaces a p_out fraction with
     uniform samples from the clean cloud's bounding box (inject_outliers).
     All randomness derives from `seed` through fixed-purpose substreams
     (see _substream), so the result is byte-identical across runs and
@@ -173,23 +195,4 @@ def corrupt_cloud(points, sensor, params, k=DEFAULT_NORMAL_K, seed=0):
     """
     _check_seed(seed)
     pts = _as_cloud(points)
-    normals = estimate_normals(pts, k, sensor)
-    r = range_to_sensor(pts, sensor)
-    cos_t = incidence_cosine(pts, normals.vectors, sensor)
-    sigma = point_sigma(r, cos_t, params)
-    mu = bias_mu(cos_t, params.k)
-    corrupted = perturb_points(pts, sensor, sigma, mu, _substream(seed, _STREAM_PERTURB))
-    corrupted, mask = inject_outliers(
-        corrupted, params.p_out, bounding_box(pts), _substream(seed, _STREAM_OUTLIER)
-    )
-
-    return AnnotatedCloud(
-        corrupted=corrupted,
-        sigma=sigma,
-        mu=mu,
-        r=r,
-        cos_theta=cos_t,
-        outlier=mask,
-        degenerate_normal=normals.degenerate,
-        seed=int(seed),
-    )
+    return _apply_tier(pts, sensor, _view_geometry(pts, sensor, k), params, seed)

@@ -32,6 +32,7 @@ import struct
 import sys
 import tempfile
 import threading
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -236,6 +237,10 @@ class GenerationSummary:
         return len(self.failures)
 
 
+# one sample's summary.csv row, its fields named by the header
+SampleRecord = namedtuple("SampleRecord", SUMMARY_HEADER)
+
+
 def _corrupt_one(entry, config, tier_dir, base_dir):
     cloud = read_cloud(base_dir / entry.path) * config.scale
     ann = corrupt_cloud(cloud, config.sensor, config.params, k=config.normal_k,
@@ -246,7 +251,7 @@ def _corrupt_one(entry, config, tier_dir, base_dir):
     if not np.isfinite(means).all():
         raise ValueError("sample mean sigma or mu is not finite")
     write_annotated(tier_dir / f"{entry.sample_id}.xyzn", ann)
-    return (entry.sample_id, entry.label, *means, ann.outlier_count())
+    return SampleRecord(entry.sample_id, entry.label, *means, ann.outlier_count())
 
 
 def _init_worker():
@@ -373,14 +378,15 @@ def generate_benchmark(manifest, config, out_dir, threads=None, keep_going=False
             rows, failures = _run(entries, (config, tier_dir, manifest.base_dir),
                                   threads, keep_going, sigints)
             write_csv(tier_dir / "summary.csv", SUMMARY_HEADER,
-                      ([sid, label, fmt(ms), fmt(mm), oc] for sid, label, ms, mm, oc in rows))
+                      (r._replace(mean_sigma=fmt(r.mean_sigma), mean_mu=fmt(r.mean_mu))
+                       for r in rows))
     finally:
         if defer:
             signal.signal(signal.SIGINT, signal.default_int_handler)
     if sigints:
         raise KeyboardInterrupt
 
-    m = np.array([r[2] for r in rows])
+    m = np.array([r.mean_sigma for r in rows])
     # the sum of finite means can overflow; scaling by a power of two above
     # n is exact for normal floats, and means of at most 1 are not scaled,
     # so a subnormal one keeps its bits

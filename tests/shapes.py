@@ -1,4 +1,4 @@
-"""Seeded ModelNet-like test clouds.
+"""Seeded ModelNet-like test clouds, and a grid plane of exact ties.
 
 Importable from the tests and from a plain script with tests/ on the path,
 so a report prints figures on the same clouds the tests check.
@@ -24,3 +24,18 @@ def table(n, seed):
     side = rng.integers(0, 2, n)
     pts[np.arange(n), axis] = _BOX_LO[box, axis] + side * _BOX_SIZE[box, axis]
     return pts
+
+
+def cube(n, seed):
+    """n points uniform on the six faces of [-1, 1]^3, each point's coordinate
+    on its face's axis exactly -1.0 or 1.0: flat faces with exact normals."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, (n, 3))
+    pts[np.arange(n), rng.integers(0, 3, n)] = rng.choice([-1.0, 1.0], n)
+    return pts
+
+
+def grid_plane(nx, nz):
+    """An nx x nz grid in the y = 0 plane: many exactly tied distances."""
+    i, j = np.meshgrid(np.arange(nx), np.arange(nz), indexing="ij")
+    return np.column_stack([i.ravel(), np.zeros(i.size), j.ravel()]) * 2.0 ** -6

@@ -192,12 +192,6 @@ def test_knn_matches_brute_force_any_block_size(case, block):
         assert_array_equal(_knn_indices(pts, k), brute_force_knn(pts, k))
 
 
-def _grid_plane(nx, nz):
-    """An nx x nz grid in the y = 0 plane: many exactly tied distances."""
-    i, j = np.meshgrid(np.arange(nx), np.arange(nz), indexing="ij")
-    return np.column_stack([i.ravel(), np.zeros(i.size), j.ravel()]) * 2.0 ** -6
-
-
 def _tilted_plane(nx, ny):
     """An nx x ny grid in a plane tilted to all three axes."""
     i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
@@ -238,7 +232,7 @@ def test_knn_scratch_memory_bounded():
 def test_knn_threads_match_serial():
     # two searches at once, switching often, give the serial answers: the
     # search keeps no state between calls or across threads
-    clouds = (unit_sphere_cloud(1024, seed=16), _grid_plane(128, 64))
+    clouds = (unit_sphere_cloud(1024, seed=16), shapes.grid_plane(128, 64))
     serial = [_knn_indices(pts, 16) for pts in clouds]
     results = [[], []]
     start = threading.Barrier(2, timeout=60)
@@ -278,7 +272,7 @@ def test_knn_tiny_blocks_on_sphere_plane_and_cluster():
     # so a block reads only entries of its np.empty buffers that it (or its
     # chunk) wrote
     nearest_in = geometry._nearest_in
-    clouds = (unit_sphere_cloud(1024, seed=21), _grid_plane(128, 64), _dense_cluster(22))
+    clouds = (unit_sphere_cloud(1024, seed=21), shapes.grid_plane(128, 64), _dense_cluster(22))
     one_cell = []
 
     def spy(xyzs, k, blk, cand, table, *rest):
@@ -358,7 +352,7 @@ def test_knn_buckets_each_side_once():
                          rng.normal(0.0, 10.0, (8, 3))])
     doubled = 0
     for pts in (unit_sphere_cloud(1024, seed=16), unit_sphere_cloud(8192, seed=15),
-                _grid_plane(128, 64), cluster, np.tile([1.0, -2.0, 3.0], (2000, 1))):
+                shapes.grid_plane(128, 64), cluster, np.tile([1.0, -2.0, 3.0], (2000, 1))):
         calls = []
 
         def spy_cells(points, lo, extent, h):
@@ -444,7 +438,7 @@ def test_knn_takes_each_path():
     paths = _knn_paths(shapes.table(1024, seed=0))
     first = len(paths["rejected"][0])
     assert first * 1024 > geometry._KNN_BLOCK and len(paths["rejected"]) >= 2
-    paths = _knn_paths(_grid_plane(128, 64))
+    paths = _knn_paths(shapes.grid_plane(128, 64))
     assert paths["ties"] > 0
 
 
@@ -468,7 +462,7 @@ def test_knn_frees_grid_coordinates_before_search():
     # no (n, 3) float array from bucketing is alive while the first search
     # scores candidates, so the kNN's peak holds no grid coordinates
     cells, nearest_in = geometry._cells, geometry._nearest_in
-    for pts in (unit_sphere_cloud(8192, seed=15), _grid_plane(128, 64)):
+    for pts in (unit_sphere_cloud(8192, seed=15), shapes.grid_plane(128, 64)):
         returned, alive = [], []
 
         def spy_cells(points, lo, extent, h):
@@ -517,7 +511,7 @@ def test_knn_rejects_k_out_of_range():
 def _golden_knn_clouds():
     """A sphere, an exact-tie grid plane and a thin far-offset cloud with duplicates."""
     sphere = unit_sphere_cloud(2048, seed=31)
-    plane = _grid_plane(64, 32)
+    plane = shapes.grid_plane(64, 32)
     rng = np.random.default_rng(32)
     flat = rng.uniform(0.0, 1.0, (1000, 3)) * [1.0, 1e-3, 1.0] + [1e3, -2e3, 5e2]
     flat = np.vstack([flat, flat[::40]])
@@ -577,6 +571,25 @@ def test_normals_axis_aligned_plane_exact():
     expected[:, 2] = 1.0
     assert_array_equal(est.vectors, expected)
     assert not est.degenerate.any()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_normals_cube_faces_exact(seed):
+    # a point whose k neighbours all lie on its own face of the cube gets
+    # exactly that face's axis, facing the sensor: every neighbour's
+    # coordinate on the axis is the same +-1.0, so its variance is exactly 0
+    pts = shapes.cube(1024, seed)
+    sensor = np.array([0.0, -2.0, 0.0])
+    rows, axis = np.nonzero(np.abs(pts) == 1.0)
+    assert_array_equal(rows, np.arange(len(pts)))  # no point on an edge
+    face = 2 * axis + (pts[rows, axis] > 0.0)
+    flat = (face[brute_force_knn(pts, 16)] == face[:, None]).all(axis=1)
+    assert flat.sum() > 300
+    expected = np.zeros_like(pts)
+    expected[rows, axis] = np.where(sensor[axis] > pts[rows, axis], 1.0, -1.0)
+    est = estimate_normals(pts, 16, sensor)
+    assert_array_equal(est.vectors[flat], expected[flat])
+    assert not est.degenerate[flat].any()
 
 
 def test_normals_tilted_plane():

@@ -1,5 +1,6 @@
 """Tests for the parametric noise model and cloud corruption."""
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import shapes
 from conftest import brute_force_knn, unit_sphere_cloud
+from noisebench import noise
 from noisebench import (TIER_NAMES, DegenerateRay, InsufficientPoints, NoiseParams,
                         ParseError, angle_factor, bias_mu, bounding_box, corrupt_cloud,
                         inject_outliers, perturb_points, point_sigma, range_to_sensor,
@@ -325,6 +328,43 @@ def test_corrupt_matches_independent_oracle(case):
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     assert_array_equal(ann.corrupted[outlier],
                        lo + draws.random((outlier.sum(), 3)) * (hi - lo))
+
+
+_VIEW_CLOUDS = {
+    "sphere": lambda: unit_sphere_cloud(1024, seed=27),
+    "table": lambda: shapes.table(1024, 0),
+    "grid_plane": lambda: shapes.grid_plane(128, 64),
+}
+
+
+@pytest.mark.parametrize("cloud", _VIEW_CLOUDS)
+def test_one_view_geometry_serves_every_tier(cloud, monkeypatch):
+    # the geometry step depends on no tier and no seed: computed once, it
+    # gives every preset's tier step the bytes of a whole corrupt_cloud
+    # call, and no tier step changes it; it estimates the normals once and
+    # opens no random stream
+    pts = _VIEW_CLOUDS[cloud]()
+    seeds = [2**64 - 1 - i for i in range(len(TIER_NAMES))]
+    whole = [corrupt_cloud(pts, SENSOR, tier_params(name), k=16, seed=seed)
+             for name, seed in zip(TIER_NAMES, seeds)]
+    calls = []
+    for name in ("estimate_normals", "_substream"):
+        real = getattr(noise, name)
+        monkeypatch.setattr(noise, name, lambda *a, name=name, real=real:
+                            calls.append(name) or real(*a))
+    view = noise._view_geometry(pts, SENSOR, 16)
+    assert calls == ["estimate_normals"]
+    before = [a.copy() for a in view]
+    for ann, name, seed in zip(whole, TIER_NAMES, seeds):
+        split = noise._apply_tier(pts, SENSOR, view, tier_params(name), seed)
+        assert split.seed == ann.seed == seed
+        for field in dataclasses.fields(ann):
+            x, y = getattr(split, field.name), getattr(ann, field.name)
+            if field.name != "seed":
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+    assert calls == ["estimate_normals"] + ["_substream"] * 2 * len(TIER_NAMES)
+    for a, b in zip(view, before):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def test_corrupt_same_seed_reproduces():

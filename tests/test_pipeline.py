@@ -897,7 +897,25 @@ def test_generate_benchmark_layout_and_summary(tmp_path):
         assert int(outlier_count) == int(cols.outlier.sum())
 
 
-_SAMPLE_IDS = st.text(st.characters(whitelist_categories=("L", "Nd"),
+def test_sample_record_is_the_summary_row(tmp_path):
+    # _corrupt_one's record is the summary header named; a run writes each
+    # sample's record as its row, floats formatted by fmt
+    assert pipeline.SampleRecord._fields[:5] == _fileio.SUMMARY_HEADER
+    manifest = read_manifest(write_benchmark_manifest(tmp_path, 4, 64, seed=52))
+    config = dataclasses.replace(preset_config("heavy"), global_seed=8)
+    summary = generate_benchmark(manifest, config, tmp_path / "out", threads=2)
+    (tmp_path / "one").mkdir()
+    records = [pipeline._corrupt_one(entry, config, tmp_path / "one", manifest.base_dir)
+               for entry in manifest.entries]
+    assert all(type(r) is pipeline.SampleRecord for r in records)
+    with open(tmp_path / "out" / "heavy" / "summary.csv", newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [list(_fileio.SUMMARY_HEADER)] + [
+            [r.sample_id, str(r.label), _fileio.fmt(r.mean_sigma), _fileio.fmt(r.mean_mu),
+             str(r.outlier_count)] for r in records]
+    assert summary.mean_sigma == np.mean([r.mean_sigma for r in records])
+
+
+_SAMPLE_IDS =st.text(st.characters(whitelist_categories=("L", "Nd"),
                                     whitelist_characters="-_."),
                       min_size=1, max_size=8).filter(_safe_id)
 
