@@ -4,6 +4,9 @@ writers and round-trip float formatting. The C parse (c_table) comes first and
 the line-numbered readers read what it refuses; both only parse, and a format's
 value rules run once on either's rows, finding a bad row's line by row_line.
 Values are identical: float() and c_table both use PyOS_string_to_double.
+Tables are written by _text, a numpy kernel that renders a chunk of at most
+_CHUNK = 8,192 values as the bytes repr gives them: Schubfach's shortest
+digits in 64-bit integer arithmetic, laid out as Python lays out a float.
 """
 
 import csv
@@ -129,21 +132,153 @@ def read_table(path, width):
     return table
 
 
+# Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020), as in
+# Java's Double.toString, finds the shortest decimals that read back as a
+# double, and of those the nearest, ties to an even last digit: d 10**e, d an
+# integer. Unlike Java's, repr's shortest may have one digit (5e-324, not
+# 4.9e-324), so a shorter decimal is looked for from two digits on, and the
+# two smallest subnormals are not scaled up; the layout is repr's, positional
+# for 1e-4 <= |x| < 1e16, "0.0" for zero.
+_M32, _M63 = np.uint64(2**32 - 1), np.uint64(2**63 - 1)
+
+
+def _flog2pow10(e):
+    """floor(log2(10**e)) for |e| <= 1233."""
+    return (e * 913_124_641_741) >> 38
+
+
+def _g(k):
+    """Schubfach's g of 10**-k: floor(10**-k 2**r) + 1, 2**125 <= 10**-k 2**r < 2**126."""
+    r = 125 - _flog2pow10(-k)
+    return 10 ** max(-k, 0) * 2 ** max(r, 0) // (10 ** max(k, 0) * 2 ** max(-r, 0)) + 1
+
+
+# a column per k = -324..292: g1 = g >> 63, its 32-bit halves, and g0's halves
+_G = np.array([[g >> 63, g >> 95, (g >> 63) & 0xFFFFFFFF, (g >> 32) & 0x7FFFFFFF, g & 0xFFFFFFFF]
+               for g in map(_g, range(-324, 293))], np.uint64).T
+_POW10 = np.array([10 ** i for i in range(20)], np.uint64)
+_QUADS = np.frombuffer(("%04d" * 10_000 % tuple(range(10_000))).encode(), np.uint32)
+_K = np.arange(20, dtype=np.int8)[:, None]
+# slot j of "0.000" leads a value whose first digit stands for 10**(point - 1)
+# when point <= _LEAD_UPTO[j]: "0." for 0.1 <= |x| < 1, "0.000" below 0.001
+_LEAD = np.frombuffer(b"0.000", np.uint8)[:, None]
+_LEAD_UPTO = np.array([0, 0, -1, -2, -3], np.int8)[:, None]
+# "e-05", "e+308", ... as slots e, sign, 3 digits, NUL for a digit not shown,
+# in a word each: word i is exponent i - 324, and the last word no exponent
+_EXP = np.frombuffer(b"".join(x[:2] + bytes(5 - len(x)) + x[2:] + bytes(3) for x in
+                              (f"e{e:+03d}".encode() for e in range(-324, 309))) + bytes(8),
+                     np.uint64)
+_CHUNK = 8192
+
+
+def _rop(g, cp):
+    """Schubfach's rop: g cp 2**-127 rounded to odd, for g = g1 2**63 + g0 as
+    the rows of _G and cp < 2**59; each 128-bit product from 32-bit halves."""
+    g1, g1h, g1l, g0h, g0l = g
+    b1, b0 = cp >> 32, cp & _M32
+    x1 = g0h * b1 + ((g0h * b0 + g0l * b1 + (g0l * b0 >> 32)) >> 32)
+    y1 = g1h * b1 + ((g1h * b0 + g1l * b1 + (g1l * b0 >> 32)) >> 32)
+    z = ((g1 * cp) >> 1) + x1
+    return (y1 + (z >> 63)) | (((z & _M63) + _M63) >> 63)
+
+
+def _shortest(bits):
+    """(d, e) with |x| = d 10**e, d the digits of repr(x) maybe followed by
+    zeros, for the uint64 bits of nonzero finite doubles x with the sign cleared."""
+    bq = (bits >> 52).astype(np.int64)
+    q = np.maximum(bq, 1) - 1075  # x = c 2**q
+    c = bits - ((q + 1074).astype(np.uint64) << 52)
+    irregular = (c == 2**52) & (bq > 1)  # a power of two, nearer its lower neighbour
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+    h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
+    g = np.take(_G, k + 324, axis=1)
+    cb, odd = c << 2, c & 1
+    vb = _rop(g, cb << h)
+    # the ends of the interval that rounds to x, in it when c is even
+    vbl = _rop(g, (cb - 2 + irregular) << h) + odd
+    vbr = _rop(g, (cb + 2) << h) - odd
+    s = vb >> 2
+    sp = s // 10 * 10  # one digit shorter: the one of sp, sp + 10 in range
+    up, wp = vbl <= sp << 2, (sp + 10) << 2 <= vbr
+    # else s or s + 1: whichever is in range, or the nearer, ties to even
+    low = (vbl <= s << 2) & (((s + 1) << 2 > vbr) | (vb & 3 < 2) | ((vb & 3 == 2) & (s & 1 == 0)))
+    d = np.where((s >= 10) & (up != wp), sp + np.uint64(10) * ~up, s + ~low)
+    return d, k
+
+
+def _digits(m):
+    """(24, len(m)) rows of ASCII: the 20 decimal digits of uint64 m, then 0000."""
+    quads = np.zeros((6, len(m)), np.intp)
+    for i in range(4, 0, -1):
+        q = m // 10_000
+        quads[i] = m - q * 10_000
+        m = q
+    quads[0] = m
+    return _QUADS.take(quads).view(np.uint8).reshape(6, -1, 4).transpose(0, 2, 1).reshape(24, -1)
+
+
+def _text(vals, isint, sep):
+    """The bytes of repr of each value, each followed by its `sep` byte:
+    `vals` holds int64 values where `isint` is set and float64 bit patterns
+    elsewhere. Built as (slots, values) rows, NUL where a slot is not used:
+    sign, "0.000", 20 for digits and point, "e+308", separator."""
+    neg = vals < 0
+    mag = np.where(isint, np.abs(vals).view(np.uint64), vals.view(np.uint64) & _M63)
+    fl = ~isint & (mag != 0)  # floats with digits to find
+    d, e = mag * isint, np.zeros(len(mag), np.intp)
+    d[fl], e[fl] = _shortest(mag[fl])
+    f = d | 1
+    ln = np.log10(f.astype(np.float64)).astype(np.intp)  # len(d) - 1, made exact:
+    ln += (f >= _POW10.take(ln + 1)).astype(np.intp) - (f < _POW10.take(ln))
+    D = _digits(d * _POW10.take(18 - ln))  # row j + 1: digit j of d, then zeros
+    n = np.maximum((_K * (D[:20] != ord("0"))).max(axis=0), 1)  # digits shown
+    decpt = ln + 1 + e  # digit j stands for 10**(decpt - 1 - j)
+    expo = ~isint & ((decpt < -3) | (decpt > 16))
+    point = np.where(expo, 1, decpt)
+    width = (np.where(point > 0, np.maximum(n, point + 1) + 1, n)  # "ddd.d" or "dddd"
+             - 2 * (isint | (expo & (n == 1))))  # no ".d" on ints and "1e-05"
+    out = np.empty((32, len(d)), np.uint8)
+    out[0] = neg * ord("-")
+    out[1:6] = _LEAD * (point.astype(np.int8) <= _LEAD_UPTO)
+    p = np.where(point > 0, point, 20).astype(np.int8)
+    A, B = D[1:21], D[:20]
+    r = B + (A - B) * (_K < p) - (B - ord(".")) * (_K == p)
+    out[6:26] = r * (_K < width.astype(np.int8))
+    out[26:31] = _EXP.take(np.where(expo, decpt + 323, 633)).view(np.uint8).reshape(-1, 8)[:, :5].T
+    out[31] = sep
+    return out.T.tobytes().translate(None, b"\0")
+
+
+def _bits(column):
+    """int64 of an integer column, or the float64 bit patterns of a float one."""
+    if column.dtype.kind not in "fiu":
+        raise TypeError(f"cannot write a column of {column.dtype}")
+    return column.astype(np.float64 if column.dtype.kind == "f" else np.int64,
+                         casting="safe").view(np.int64)
+
+
 def write_table(path, header, columns):
     """Atomically write `header`, then one line per row of the parallel
     `columns`: space-separated, each field the repr of the column's .tolist()
     value, so floats get shortest round-trip decimals. Raises ValueError,
     writing nothing, if any value is not finite, as read_table would reject
-    it, or if the columns differ in length."""
+    it, or if the columns differ in length; TypeError for a column that is
+    not float or integer, or not held exactly by float64 or int64. The fields
+    are made by the Schubfach kernel _text, at most _CHUNK = 8,192 values at
+    a time, so its scratch does not grow with the table."""
     if not all(np.isfinite(column).all() for column in columns):
         raise ValueError("cannot write a non-finite value, which readers reject")
     if len({len(column) for column in columns}) > 1:
         raise ValueError("columns differ in length")
-    # the whole table in one % call: %r is repr
-    line = " ".join(["%r"] * len(columns)) + "\n"
-    values = tuple(chain.from_iterable(zip(*(column.tolist() for column in columns))))
+    vals = np.stack([_bits(np.asarray(column)) for column in columns], axis=1)
+    rows = max(1, _CHUNK // vals.shape[1])
+    isint = np.tile([np.asarray(column).dtype.kind != "f" for column in columns], rows)
+    sep = np.tile(np.frombuffer(b" " * (vals.shape[1] - 1) + b"\n", np.uint8), rows)
     with atomic_text(path) as fh:
-        fh.write(header + (line * len(columns[0])) % values)
+        fh.write(header)
+        for start in range(0, len(vals), rows):
+            chunk = vals[start:start + rows].ravel()
+            fh.write(_text(chunk, isint[:len(chunk)], sep[:len(chunk)]).decode("ascii"))
 
 
 def csv_rows(path, what, header_ok):

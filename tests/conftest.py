@@ -70,8 +70,9 @@ def _brute_force_knn(data, shape, k):
     x, y, z = pts.T
     sq = x * x + y * y + z * z
     out = np.empty((n, k), dtype=np.intp)
-    for start in range(0, n, 512):
-        stop = min(start + 512, n)
+    # 32 rows of distances stay in cache through the k argmin passes
+    for start in range(0, n, 32):
+        stop = min(start + 32, n)
         dot = (x[start:stop, None] * x + y[start:stop, None] * y
                + z[start:stop, None] * z)
         d2 = sq[start:stop, None] + sq[None, :] - 2.0 * dot

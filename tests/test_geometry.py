@@ -210,6 +210,51 @@ def _torus(rng, n):
     return np.column_stack([ring * np.cos(u), ring * np.sin(u), 0.3 * np.sin(v)])
 
 
+def _dense_cluster(seed):
+    """4,088 points of N(0, 1e-3) plus 8 far ones: one cell's block is almost
+    the whole cloud, so the search broadcasts that one-cell table."""
+    rng = np.random.default_rng(seed)
+    return np.vstack([rng.normal(0.0, 1e-3, (4088, 3)), rng.normal(0.0, 10.0, (8, 3))])
+
+
+@pytest.fixture(scope="session")
+def knn_clouds():
+    """The slow kNN tests' clouds by name, each read-only with its 16
+    brute-force nearest neighbours: built and searched once per session."""
+    rng = np.random.default_rng(12)
+    clouds = {
+        "sphere_3000_far": unit_sphere_cloud(3000, seed=11) + 1e3,
+        "cluster_12": np.vstack([rng.normal(0.0, 1e-3, (3000, 3)),
+                                 rng.uniform(-50.0, 50.0, (40, 3))]),
+        "tilted_plane": _tilted_plane(60, 50),
+        # at 1e7 from the origin the expansion's rounding error (~eps * 1e14)
+        # is as large as the neighbour distances themselves; the block test
+        # must allow for it or rows with a closer point outside pass
+        "far": rng.uniform(0.0, 1.0, (1500, 3)) + 1e7 * rng.uniform(0.5, 1.0, 3),
+        # a jittered line: the 1-d hull sizes the cells at about k points each,
+        # n / k cells on x, and its 3-cell blocks are too sparse to shrink them.
+        # Surfaces (the spheres, the tilted plane, the torus) get cells smaller
+        # than the hull size, so more points need a retry
+        "line": _jittered_line(rng, 4000),
+        "sphere_16384": unit_sphere_cloud(16384, seed=18),
+        "torus": _torus(rng, 8192),
+        "sphere_1024_16": unit_sphere_cloud(1024, seed=16),
+        "sphere_1024_21": unit_sphere_cloud(1024, seed=21),
+        "sphere_8192": unit_sphere_cloud(8192, seed=15),
+        "grid_plane": shapes.grid_plane(128, 64),
+        "table": shapes.table(1024, seed=0),
+        "dense_cluster": _dense_cluster(22),
+        # a dense cluster with few far points: its blocks hold about the whole
+        # cloud, and the 8 far points its first pass rejects (8 x 4,096 rows x
+        # points, just _KNN_BLOCK) are brute-forced with no second pass
+        "cluster_20": _dense_cluster(20),
+        "coincident": np.tile([1.0, -2.0, 3.0], (2000, 1)),
+    }
+    for pts in clouds.values():
+        pts.flags.writeable = False
+    return {name: (pts, brute_force_knn(pts, 16)) for name, pts in clouds.items()}
+
+
 def test_knn_scratch_memory_bounded():
     # scratch is a few arrays of _KNN_BLOCK entries per chunk, not one per
     # candidate block: a dense cluster's block is almost the whole cloud.
@@ -259,28 +304,20 @@ def test_knn_threads_match_serial():
             assert_array_equal(nbrs, serial[i % 2])
 
 
-def _dense_cluster(seed):
-    """4,088 points of N(0, 1e-3) plus 8 far ones: one cell's block is almost
-    the whole cloud, so the search broadcasts that one-cell table."""
-    rng = np.random.default_rng(seed)
-    return np.vstack([rng.normal(0.0, 1e-3, (4088, 3)), rng.normal(0.0, 10.0, (8, 3))])
-
-
-def test_knn_tiny_blocks_on_sphere_plane_and_cluster():
+def test_knn_tiny_blocks_on_sphere_plane_and_cluster(knn_clouds):
     # the search is exact at _KNN_BLOCK = 7, where most blocks hold one row,
     # and at the default, on a sphere, the tie plane and the dense cluster,
     # so a block reads only entries of its np.empty buffers that it (or its
     # chunk) wrote
     nearest_in = geometry._nearest_in
-    clouds = (unit_sphere_cloud(1024, seed=21), shapes.grid_plane(128, 64), _dense_cluster(22))
     one_cell = []
 
     def spy(xyzs, k, blk, cand, table, *rest):
         one_cell.append(len(table) == 1)
         return nearest_in(xyzs, k, blk, cand, table, *rest)
 
-    for pts in clouds:
-        want = brute_force_knn(pts, 16)
+    for name in ("sphere_1024_21", "grid_plane", "dense_cluster"):
+        pts, want = knn_clouds[name]
         for block in (7, geometry._KNN_BLOCK):
             one_cell.clear()
             with mock.patch.object(geometry, "_KNN_BLOCK", block), \
@@ -298,23 +335,12 @@ def test_knn_matches_brute_force_on_tables():
         assert_array_equal(_knn_indices(pts, 16), brute_force_knn(pts, 16))
 
 
-def test_knn_matches_brute_force_large_clouds():
+def test_knn_matches_brute_force_large_clouds(knn_clouds):
     # clouds big enough for many cells, split row blocks and retries
-    rng = np.random.default_rng(12)
-    cluster = np.vstack([rng.normal(0.0, 1e-3, (3000, 3)),
-                         rng.uniform(-50.0, 50.0, (40, 3))])
-    # at 1e7 from the origin the expansion's rounding error (~eps * 1e14)
-    # is as large as the neighbour distances themselves; the block test
-    # must allow for it or rows with a closer point outside pass
-    far = rng.uniform(0.0, 1.0, (1500, 3)) + 1e7 * rng.uniform(0.5, 1.0, 3)
-    # a jittered line: the 1-d hull sizes the cells at about k points each,
-    # n / k cells on x, and its 3-cell blocks are too sparse to shrink them.
-    # Surfaces (the spheres, the tilted plane, the torus) get cells smaller
-    # than the hull size, so more points need a retry
-    line = _jittered_line(rng, 4000)
-    for pts in (unit_sphere_cloud(3000, seed=11) + 1e3, cluster, _tilted_plane(60, 50), far,
-                line, unit_sphere_cloud(16384, seed=18), _torus(rng, 8192)):
-        assert_array_equal(_knn_indices(pts, 16), brute_force_knn(pts, 16))
+    for name in ("sphere_3000_far", "cluster_12", "tilted_plane", "far", "line",
+                 "sphere_16384", "torus"):
+        pts, want = knn_clouds[name]
+        assert_array_equal(_knn_indices(pts, 16), want)
 
 
 def test_knn_sizing_ends_on_coincident_points(tmp_path):
@@ -337,22 +363,17 @@ def test_knn_sizing_ends_on_coincident_points(tmp_path):
     assert_array_equal(np.load(outs[1]), brute_force_knn(pts, 16))
 
 
-def test_knn_buckets_each_side_once():
+def test_knn_buckets_each_side_once(knn_clouds):
     # the sizing buckets each side it measures once, the first pass
     # searches the side the sizing ended on, and each pass buckets only its
     # own side, doubled from the last pass's
     cells, grid_pass = geometry._cells, geometry._grid_pass
-    rng = np.random.default_rng(20)
-    # a dense cluster with few far points: its blocks hold about the whole
-    # cloud, and the 8 far points its first pass rejects (8 x 4,096 rows x
-    # points, just _KNN_BLOCK) are brute-forced with no second pass. The
-    # 8,192-point sphere's first pass rejects too many for that, so it
+    # the dense cluster's 8 far points are brute-forced with no second pass;
+    # the 8,192-point sphere's first pass rejects too many for that, so it
     # makes a pass at a doubled side
-    cluster = np.vstack([rng.normal(0.0, 1e-3, (4088, 3)),
-                         rng.normal(0.0, 10.0, (8, 3))])
     doubled = 0
-    for pts in (unit_sphere_cloud(1024, seed=16), unit_sphere_cloud(8192, seed=15),
-                shapes.grid_plane(128, 64), cluster, np.tile([1.0, -2.0, 3.0], (2000, 1))):
+    for name in ("sphere_1024_16", "sphere_8192", "grid_plane", "cluster_20", "coincident"):
+        pts, want = knn_clouds[name]
         calls = []
 
         def spy_cells(points, lo, extent, h):
@@ -375,7 +396,7 @@ def test_knn_buckets_each_side_once():
         assert sides[0] == sizing[-1], calls
         assert sides[1:] == [2.0 * h for h in sides[:-1]], calls
         doubled += len(sides) > 1
-        assert_array_equal(nbrs, brute_force_knn(pts, 16))
+        assert_array_equal(nbrs, want)
     assert doubled  # the sides[1:] check above is not vacuous
 
 
@@ -415,7 +436,7 @@ def _knn_paths(pts, k=16):
     return paths
 
 
-def test_knn_takes_each_path():
+def test_knn_takes_each_path(knn_clouds):
     # each path of the search is used where it should be, so none goes
     # unused unnoticed. A 1,024-point sphere makes one grid pass; the few
     # rows it rejects (none at seed 16, 3 at seed 21) are brute-forced in
@@ -425,20 +446,20 @@ def test_knn_takes_each_path():
     # per row; the grid plane's exact ties take the padded selection. A
     # 1,024-point table rejects too many rows too (43 at seed 0)
     for seed, rows in ((16, 0), (21, 3)):
-        paths = _knn_paths(unit_sphere_cloud(1024, seed=seed))
+        paths = _knn_paths(knn_clouds[f"sphere_1024_{seed}"][0])
         assert [len(r) for r in paths["rejected"]] == [rows]
         assert len(paths["remainder"]) == (rows > 0)
         assert all(np.array_equal(got, np.sort(paths["rejected"][0]))
                    for got in paths["remainder"])
         assert paths["blocks"] and paths["ties"] == 0
-    paths = _knn_paths(unit_sphere_cloud(8192, seed=15))
+    paths = _knn_paths(knn_clouds["sphere_8192"][0])
     first = len(paths["rejected"][0])
     assert first * 8192 > geometry._KNN_BLOCK and len(paths["rejected"]) >= 2
     assert paths["blocks"] and paths["ties"] == 0
-    paths = _knn_paths(shapes.table(1024, seed=0))
+    paths = _knn_paths(knn_clouds["table"][0])
     first = len(paths["rejected"][0])
     assert first * 1024 > geometry._KNN_BLOCK and len(paths["rejected"]) >= 2
-    paths = _knn_paths(shapes.grid_plane(128, 64))
+    paths = _knn_paths(knn_clouds["grid_plane"][0])
     assert paths["ties"] > 0
 
 

@@ -271,18 +271,80 @@ def test_write_cloud_rejects_wrong_width(tmp_path, width):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("rows", [1, 7])
+def _joined_reprs(columns):
+    return "".join(" ".join(map(repr, row)) + "\n"
+                   for row in zip(*(column.tolist() for column in columns))).encode()
+
+
+# one row, a few, and tables that cross _fileio's chunk of _CHUNK values
+@pytest.mark.parametrize("rows", [1, 7, _fileio._CHUNK // 7 * 2 + 5])
 def test_write_table_bytes_match_joined_reprs(tmp_path, rows):
-    # one % call formats the table; the bytes must be those of joining each
-    # field's repr, for signed zeros, subnormals, exponents and int columns
+    # the bytes must be those of joining each field's repr, for signed zeros,
+    # subnormals, exponents, float32 and integer columns of any width
     values = [-0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308, 0.1, -2.5]
-    columns = [np.array(values[i:] + values[:i])[:rows] for i in range(3)]
-    columns += [np.arange(rows, dtype=np.int8) % 2, np.zeros(rows, dtype=np.int8)]
+    columns = [np.resize(np.array(values[i:] + values[:i]), rows) for i in range(3)]
+    columns += [np.arange(rows, dtype=np.int8) % 2,
+                np.resize(np.array([-2**63, 2**63 - 1, -1, 0, 10, -987654321012]), rows),
+                np.resize(np.array([-32768, 4096, 7], np.int16), rows),
+                np.resize(np.array([0.1, -1e-40, 3.4028235e38, 16777217.0], np.float32), rows)]
     path = tmp_path / "table.txt"
     _fileio.write_table(path, "# header\n", columns)
-    want = "".join(" ".join(map(repr, row)) + "\n"
-                   for row in zip(*(column.tolist() for column in columns)))
-    assert path.read_bytes() == ("# header\n" + want).encode()
+    assert path.read_bytes() == b"# header\n" + _joined_reprs(columns)
+
+
+@pytest.mark.parametrize("column", [np.zeros(3, bool), np.zeros(3, np.uint64),
+                                    np.zeros(3, np.longdouble), np.zeros(3, complex)])
+def test_write_table_refuses_other_dtypes(tmp_path, column):
+    # bools would read back as text floats cannot parse; the others are not
+    # held exactly by int64 or float64
+    with pytest.raises(TypeError):
+        _fileio.write_table(tmp_path / "table.txt", "", [np.zeros(3), column])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_table_scratch_bounded_by_the_chunk(tmp_path):
+    # the text is made _CHUNK values at a time, so a table of six chunks
+    # peaks about where a table of one does, not six times as high
+    peaks = []
+    for rows in (_fileio._CHUNK // 6, _fileio._CHUNK // 6 * 6):
+        rng = np.random.default_rng(rows)
+        columns = [*rng.standard_normal((5, rows)), np.ones(rows, np.int8)]
+        tracemalloc.start()
+        try:
+            _fileio.write_table(tmp_path / "table.txt", "", columns)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+
+
+def _assert_written_as_repr(tmp_path, x):
+    path = tmp_path / "values.txt"
+    _fileio.write_table(path, "", [x])
+    got, want = path.read_bytes(), _joined_reprs([x])
+    if got != want:
+        bad = next(i for i, (g, w) in enumerate(zip(got.split(), want.split())) if g != w)
+        pytest.fail(f"{x.tolist()[bad]!r} written as {got.split()[bad].decode()}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+def test_float_text_matches_repr_on_bit_patterns(tmp_path_factory, patterns):
+    # any 64-bit pattern, an infinity or NaN made finite by clearing the top
+    # exponent bit
+    bits = np.array(patterns, np.uint64)
+    bits[(bits >> 52) & 0x7FF == 0x7FF] ^= np.uint64(1 << 62)
+    _assert_written_as_repr(tmp_path_factory.mktemp("bits"), bits.view(np.float64))
+
+
+def test_float_text_matches_repr_on_edge_families(tmp_path):
+    # every power of 2 and of 10, the first 2**16 subnormals, the signed
+    # zeros and the neighbours of the layout's edges 1e-4 and 1e16, and of 2**53
+    edges = np.array([1e-4, 1e16, 2.0 ** 53]).view(np.int64)
+    x = np.concatenate([2.0 ** np.arange(-1074, 1024), [float(f"1e{i}") for i in range(-323, 309)],
+                        np.arange(2**16).view(np.float64),
+                        (edges[:, None] + np.arange(-300, 301)).ravel().view(np.float64)])
+    _assert_written_as_repr(tmp_path, np.concatenate([x, -x]))
 
 
 def test_writers_refuse_non_finite(tmp_path):
