@@ -4,9 +4,9 @@ writers and round-trip float formatting. The C parse (c_table) comes first and
 the line-numbered readers read what it refuses; both only parse, and a format's
 value rules run once on either's rows, finding a bad row's line by row_line.
 Values are identical: float() and c_table both use PyOS_string_to_double.
-Tables are written by _text, a numpy kernel that renders a chunk of at most
-_CHUNK = 8,192 values as the bytes repr gives them: Schubfach's shortest
-digits in 64-bit integer arithmetic, laid out as Python lays out a float.
+Tables are written by _text, a numpy kernel: Schubfach's shortest digits in
+64-bit integer arithmetic, laid out as repr lays out a float. Its tables take
+under 1 ms to build at import: _G by shifts of powers of 5, _QUADS by indices.
 """
 
 import csv
@@ -147,27 +147,28 @@ def _flog2pow10(e):
     return (e * 913_124_641_741) >> 38
 
 
-def _g(k):
-    """Schubfach's g of 10**-k: floor(10**-k 2**r) + 1, 2**125 <= 10**-k 2**r < 2**126."""
-    r = 125 - _flog2pow10(-k)
-    return 10 ** max(-k, 0) * 2 ** max(r, 0) // (10 ** max(k, 0) * 2 ** max(-r, 0)) + 1
+def _g_rows():
+    """_G: a column per k = -324..292 of Schubfach's g of 10**-k, as _rop takes it."""
+    # g = floor(10**-k 2**r) + 1 with 2**125 <= 10**-k 2**r < 2**126. As
+    # 10**-k 2**r = 5**-k 2**s, s = r - k, it is a shift of 5**-k for k <= 0
+    # and 2**s // 5**k above. From its two 64-bit words, g = g1 2**63 + g0,
+    # and the rows are g1, then g1's and g0's 32-bit halves
+    p5 = np.cumprod([1] + [5] * 324, dtype=object).tolist()  # 5**0..5**324, exact
+    g = [(p5[-k] << s if s >= 0 else p5[-k] >> -s) if k <= 0 else (1 << s) // p5[k]
+         for k in range(-324, 293) for s in [125 - _flog2pow10(-k) - k]]
+    w = np.frombuffer(b"".join((x + 1).to_bytes(16, "little") for x in g), np.uint64)
+    g1, g0 = w[1::2] << 1 | w[::2] >> 63, w[::2] & _M63
+    return np.array([g1, g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32])
 
 
-# a column per k = -324..292: g1 = g >> 63, its 32-bit halves, and g0's halves
-_G = np.array([[g >> 63, g >> 95, (g >> 63) & 0xFFFFFFFF, (g >> 32) & 0x7FFFFFFF, g & 0xFFFFFFFF]
-               for g in map(_g, range(-324, 293))], np.uint64).T
+_G = _g_rows()
 _POW10 = np.array([10 ** i for i in range(20)], np.uint64)
-_QUADS = np.frombuffer(("%04d" * 10_000 % tuple(range(10_000))).encode(), np.uint32)
-_K = np.arange(20, dtype=np.int8)[:, None]
+# "%04d" of 0..9999 as a word each: the ASCII of each index's four digits
+_QUADS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8)[::-1].T + 48).view(np.uint32).ravel()
+_K = np.arange(19, dtype=np.int8)[:, None]
 # slot j of "0.000" leads a value whose first digit stands for 10**(point - 1)
-# when point <= _LEAD_UPTO[j]: "0." for 0.1 <= |x| < 1, "0.000" below 0.001
+# when point <= min(0, 1 - j): "0." for 0.1 <= |x| < 1, "0.000" below 0.001
 _LEAD = np.frombuffer(b"0.000", np.uint8)[:, None]
-_LEAD_UPTO = np.array([0, 0, -1, -2, -3], np.int8)[:, None]
-# "e-05", "e+308", ... as slots e, sign, 3 digits, NUL for a digit not shown,
-# in a word each: word i is exponent i - 324, and the last word no exponent
-_EXP = np.frombuffer(b"".join(x[:2] + bytes(5 - len(x)) + x[2:] + bytes(3) for x in
-                              (f"e{e:+03d}".encode() for e in range(-324, 309))) + bytes(8),
-                     np.uint64)
 _CHUNK = 8192
 
 
@@ -207,45 +208,46 @@ def _shortest(bits):
 
 
 def _digits(m):
-    """(24, len(m)) rows of ASCII: the 20 decimal digits of uint64 m, then 0000."""
-    quads = np.zeros((6, len(m)), np.intp)
-    for i in range(4, 0, -1):
+    """(20, len(m)) rows of ASCII: the 20 decimal digits of uint64 m."""
+    quads = np.empty((5, len(m)), np.intp)
+    for i in range(4, -1, -1):
         q = m // 10_000
-        quads[i] = m - q * 10_000
-        m = q
-    quads[0] = m
-    return _QUADS.take(quads).view(np.uint8).reshape(6, -1, 4).transpose(0, 2, 1).reshape(24, -1)
+        quads[i], m = m - q * 10_000, q
+    return _QUADS.take(quads).view(np.uint8).reshape(5, -1, 4).transpose(0, 2, 1).reshape(20, -1)
 
 
 def _text(vals, isint, sep):
     """The bytes of repr of each value, each followed by its `sep` byte:
     `vals` holds int64 values where `isint` is set and float64 bit patterns
     elsewhere. Built as (slots, values) rows, NUL where a slot is not used:
-    sign, "0.000", 20 for digits and point, "e+308", separator."""
-    neg = vals < 0
+    sign, "0.000", 19 for digits and point, "e+308", separator."""
+    # 19 slots hold a float's 17 digits and point, or an int64's 19 digits
     mag = np.where(isint, np.abs(vals).view(np.uint64), vals.view(np.uint64) & _M63)
     fl = ~isint & (mag != 0)  # floats with digits to find
     d, e = mag * isint, np.zeros(len(mag), np.intp)
     d[fl], e[fl] = _shortest(mag[fl])
-    f = d | 1
-    ln = np.log10(f.astype(np.float64)).astype(np.intp)  # len(d) - 1, made exact:
-    ln += (f >= _POW10.take(ln + 1)).astype(np.intp) - (f < _POW10.take(ln))
+    ln = _POW10.searchsorted(d | 1, "right") - 1  # len(d) - 1
     D = _digits(d * _POW10.take(18 - ln))  # row j + 1: digit j of d, then zeros
-    n = np.maximum((_K * (D[:20] != ord("0"))).max(axis=0), 1)  # digits shown
+    n = np.maximum((_K * (D[:19] != ord("0"))).max(axis=0), 1)  # digits shown
     decpt = ln + 1 + e  # digit j stands for 10**(decpt - 1 - j)
     expo = ~isint & ((decpt < -3) | (decpt > 16))
     point = np.where(expo, 1, decpt)
     width = (np.where(point > 0, np.maximum(n, point + 1) + 1, n)  # "ddd.d" or "dddd"
              - 2 * (isint | (expo & (n == 1))))  # no ".d" on ints and "1e-05"
-    out = np.empty((32, len(d)), np.uint8)
-    out[0] = neg * ord("-")
-    out[1:6] = _LEAD * (point.astype(np.int8) <= _LEAD_UPTO)
-    p = np.where(point > 0, point, 20).astype(np.int8)
-    A, B = D[1:21], D[:20]
+    out = np.empty((31, len(d)), np.uint8)
+    out[0] = (vals < 0) * ord("-")
+    out[1:6] = _LEAD * (point.astype(np.int8) <= np.minimum(0, 1 - _K[:5]))
+    p = np.where(point > 0, point, 19).astype(np.int8)
+    A, B = D[1:], D[:19]
     r = B + (A - B) * (_K < p) - (B - ord(".")) * (_K == p)
-    out[6:26] = r * (_K < width.astype(np.int8))
-    out[26:31] = _EXP.take(np.where(expo, decpt + 323, 633)).view(np.uint8).reshape(-1, 8)[:, :5].T
-    out[31] = sep
+    out[6:25] = r * (_K < width.astype(np.int8))
+    # "e-05", "e+308": e, the sign in place of "%04d"'s thousands, hundreds from 100
+    out[25], ex = ord("e"), np.abs(decpt - 1)
+    out[26:30] = _QUADS.take(ex).view(np.uint8).reshape(-1, 4).T
+    out[26] = np.where(decpt > 0, ord("+"), ord("-"))
+    out[27] *= ex >= 100
+    out[25:30] *= expo
+    out[30] = sep
     return out.T.tobytes().translate(None, b"\0")
 
 

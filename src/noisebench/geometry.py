@@ -132,12 +132,13 @@ def _knn_indices(pts, k):
     # and a separable box sum, exceeds 6 k, unless the grid would pass n
     # cells or not grow (as at zero extent), for at most 16 steps; so all
     # scratch is O(n). At 4 k, a filled ball's blocks get too thin and many
-    # of its points need a retry
+    # of its points need a retry. A 17th bucketing only hands the first pass
+    # the side that 16 shrinks reached
     side = np.sort(extent)[::-1]
     rel = side / (side[0] or 1.0)
     h = side[0] * max((math.prod(rel[:d]) * k / n) ** (1.0 / d) for d in (1, 2, 3)) or 1.0
-    for _ in range(16):
-        ncell, cell, key = _cells(xyzs[:3, :n].T, lo, extent, h)[:3]
+    for i in range(17):
+        grid = ncell, _, key = _cells(xyzs[:3, :n].T, lo, extent, h)
         occ = np.bincount(key, minlength=math.prod(ncell)).reshape(ncell)
         # occ with a border of 0s; np.pad costs ~5x as much per call
         block = np.zeros(ncell + 2, dtype=occ.dtype)
@@ -146,18 +147,20 @@ def _knn_indices(pts, k):
             b = block.swapaxes(0, ax)
             block = (b[:-2] + b[1:-1] + b[2:]).swapaxes(0, ax)
         nxt = np.floor(extent / (0.8 * h)) + 1
-        if (occ * block).sum() <= 6 * k * n or math.prod(nxt) > n or (nxt == ncell).all():
+        if i == 16 or (occ * block).sum() <= 6 * k * n or math.prod(nxt) > n or all(nxt == ncell):
             break
         h *= 0.8
-    del cell, key, occ, block, b  # sizing scratch, not held through the search
+    # sizing scratch, not held through the search; grid goes to the first pass
+    del key, occ, block, b
 
     out = np.empty((n, k), dtype=np.intp)
     # the first pass's rows are a temporary, so none of its 8 n bytes is
     # held here through the search
-    todo = _grid_pass(xyzs, k, np.arange(n), out, lo, extent, h, slack)
+    todo = _grid_pass(xyzs, k, np.arange(n), out, lo, h, slack, grid)
     while todo.size * n > _KNN_BLOCK:
         h *= 2.0
-        todo = _grid_pass(xyzs, k, todo, out, lo, extent, h, slack)
+        grid = _cells(xyzs[:3, :n].T, lo, extent, h)
+        todo = _grid_pass(xyzs, k, todo, out, lo, h, slack, grid)
     # a few rows left: score them against all n points at once, as one cell
     # (q = 0) whose table is every index, so each row's self column is itself
     if todo.size:
@@ -171,17 +174,17 @@ def _spans(starts, counts):
 
 
 def _cells(pts, lo, extent, h):
-    """Grid shape, cell, flat cell key and cell-unit coordinates of each point."""
+    """Grid shape, cell and flat cell key of each point, for cubic cells of side h."""
     ncell = np.floor(extent / h).astype(np.int64) + 1
-    t = (pts - lo) / h
-    cell = np.minimum(np.floor(t).astype(np.int64), ncell - 1)
-    return ncell, cell, (cell[:, 0] * ncell[1] + cell[:, 1]) * ncell[2] + cell[:, 2], t
+    cell = np.minimum(np.floor((pts - lo) / h).astype(np.int64), ncell - 1)
+    return ncell, cell, (cell[:, 0] * ncell[1] + cell[:, 1]) * ncell[2] + cell[:, 2]
 
 
-def _grid_pass(xyzs, k, rows, out, lo, extent, h, slack):
-    """One search of `rows` on a grid of side h; returns the rejected rows."""
+def _grid_pass(xyzs, k, rows, out, lo, h, slack, grid):
+    """One search of `rows` on `grid`, _cells' cells of side h; returns the rejected rows."""
     n = xyzs.shape[1] - 1
-    ncell, cell, key, t = _cells(xyzs[:3, :n].T, lo, extent, h)
+    ncell, cell, key = grid
+    t = (xyzs[:3, :n].T - lo) / h  # cell-unit coordinates
     # squared distance from each point to the outside of its block, less
     # the slack; a side whose next cell is off the grid is infinitely far
     below = np.where(cell - 1 > 0, t - (cell - 1), np.inf)

@@ -364,40 +364,47 @@ def test_knn_sizing_ends_on_coincident_points(tmp_path):
 
 
 def test_knn_buckets_each_side_once(knn_clouds):
-    # the sizing buckets each side it measures once, the first pass
-    # searches the side the sizing ended on, and each pass buckets only its
-    # own side, doubled from the last pass's
+    # the sizing buckets each side it measures once, the first pass searches
+    # the sizing's last grid with no bucketing of its own, and each later
+    # pass is handed one bucketing of its side, doubled from the last pass's
     cells, grid_pass = geometry._cells, geometry._grid_pass
     # the dense cluster's 8 far points are brute-forced with no second pass;
     # the 8,192-point sphere's first pass rejects too many for that, so it
-    # makes a pass at a doubled side
+    # makes a pass at a doubled side. A 1-d hull crowded at one point (two
+    # ends of a unit segment and a cluster at its middle) shrinks the side 16
+    # times, so the sizing buckets a 17th side, never measured, for the pass
+    rng = np.random.default_rng(36)
+    segment = np.vstack([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                      [0.5, 0.0, 0.0] + 1e-9 * rng.standard_normal((398, 1)) * [1.0, 0.0, 0.0]])
+    clouds = [(*knn_clouds[name], 16) for name in
+              ("sphere_1024_16", "sphere_8192", "grid_plane", "cluster_20", "coincident")]
     doubled = 0
-    for name in ("sphere_1024_16", "sphere_8192", "grid_plane", "cluster_20", "coincident"):
-        pts, want = knn_clouds[name]
+    for pts, want, k in [*clouds, (segment, brute_force_knn(segment, 60), 60)]:
         calls = []
 
         def spy_cells(points, lo, extent, h):
             calls.append(("cells", h))
             return cells(points, lo, extent, h)
 
-        def spy_pass(xyzs, k, rows, out, lo, extent, h, slack):
+        def spy_pass(xyzs, k, rows, out, lo, h, slack, grid):
             calls.append(("pass", h))
-            return grid_pass(xyzs, k, rows, out, lo, extent, h, slack)
+            return grid_pass(xyzs, k, rows, out, lo, h, slack, grid)
 
         with mock.patch.object(geometry, "_cells", spy_cells), \
                 mock.patch.object(geometry, "_grid_pass", spy_pass):
-            nbrs = _knn_indices(pts, 16)
+            nbrs = _knn_indices(pts, k)
         first = next(i for i, (what, _) in enumerate(calls) if what == "pass")
         sizing, passes = [h for _, h in calls[:first]], calls[first:]
-        assert sizing and len(sizing) == len(set(sizing)), calls
-        assert passes[0::2] == [("pass", h) for _, h in passes[1::2]], calls
-        assert passes[1::2] == [("cells", h) for _, h in passes[0::2]], calls
-        sides = [h for _, h in passes[0::2]]
-        assert sides[0] == sizing[-1], calls
+        assert sizing and len(sizing) == len(set(sizing)) <= 17, calls
+        assert passes[0] == ("pass", sizing[-1]), calls
+        assert passes[1::2] == [("cells", h) for _, h in passes[2::2]], calls
+        sides = [h for what, h in passes if what == "pass"]
+        assert passes[0::2] == [("pass", h) for h in sides], calls
         assert sides[1:] == [2.0 * h for h in sides[:-1]], calls
         doubled += len(sides) > 1
         assert_array_equal(nbrs, want)
     assert doubled  # the sides[1:] check above is not vacuous
+    assert len(sizing) == 17  # the segment, searched last, ran the sizing to its end
 
 
 def _knn_paths(pts, k=16):

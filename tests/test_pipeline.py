@@ -347,6 +347,25 @@ def test_float_text_matches_repr_on_edge_families(tmp_path):
     _assert_written_as_repr(tmp_path, np.concatenate([x, -x]))
 
 
+def test_writer_tables_match_their_definitions():
+    # _G against Schubfach's g from its definition in plain big-int
+    # arithmetic, and _QUADS against "%04d"; a fault in either would
+    # otherwise show only as a wrong digit somewhere in the tests above
+    def g(k):
+        r = 125 - _fileio._flog2pow10(-k)
+        return 10 ** max(-k, 0) * 2 ** max(r, 0) // (10 ** max(k, 0) * 2 ** max(-r, 0)) + 1
+
+    gs = [g(k) for k in range(-324, 293)]
+    # the r _flog2pow10 gives is the definition's: floor(10**-k 2**r) in [2**125, 2**126)
+    assert all(2**125 <= x - 1 < 2**126 for x in gs)
+    # rows g1 = g >> 63, g1's 32-bit halves, g0 = g mod 2**63's halves
+    rows = [[x >> 63, x >> 95, (x >> 63) & 0xFFFFFFFF, (x >> 32) & 0x7FFFFFFF, x & 0xFFFFFFFF]
+            for x in gs]
+    assert _fileio._G.dtype == np.uint64 and _fileio._G.T.tolist() == rows
+    assert _fileio._QUADS.dtype == np.uint32
+    assert _fileio._QUADS.tobytes() == ("%04d" * 10_000 % tuple(range(10_000))).encode()
+
+
 def test_writers_refuse_non_finite(tmp_path):
     # read_cloud and read_annotated reject such rows, so no writer may make one
     pts = unit_sphere_cloud(16, seed=42)
