@@ -75,8 +75,7 @@ def incidence_cosine(points, normals, sensor):
     Takes (n, 3) points and normals and returns (n,), clamped to [0, 1].
     Raises DegenerateRay (via _unit_rays) if a point sits on the sensor.
     """
-    pts = _as_cloud(points)
-    nrm = _as_cloud(normals)
+    pts, nrm = _as_cloud(points), _as_cloud(normals)
     if len(pts) != len(nrm):
         raise ValueError("points and normals must have matching shapes")
     cos = np.abs(np.sum(_unit_rays(pts, _as_vec3(sensor, "sensor")) * nrm, axis=1))
@@ -132,14 +131,14 @@ def _knn_indices(pts, k):
     # and a separable box sum, exceeds 6 k, unless the grid would pass n
     # cells or not grow (as at zero extent), for at most 16 steps; so all
     # scratch is O(n). At 4 k, a filled ball's blocks get too thin and many
-    # of its points need a retry. A 17th bucketing only hands the first pass
-    # the side that 16 shrinks reached
+    # of its points need a retry
     side = np.sort(extent)[::-1]
     rel = side / (side[0] or 1.0)
     h = side[0] * max((math.prod(rel[:d]) * k / n) ** (1.0 / d) for d in (1, 2, 3)) or 1.0
-    for i in range(17):
-        grid = ncell, _, key = _cells(xyzs[:3, :n].T, lo, extent, h)
-        occ = np.bincount(key, minlength=math.prod(ncell)).reshape(ncell)
+    grid = _cells(xyzs[:3, :n].T, lo, extent, h)
+    for _ in range(16):
+        ncell = grid[0]
+        occ = np.bincount(grid[2], minlength=math.prod(ncell)).reshape(ncell)
         # occ with a border of 0s; np.pad costs ~5x as much per call
         block = np.zeros(ncell + 2, dtype=occ.dtype)
         block[1:-1, 1:-1, 1:-1] = occ
@@ -147,20 +146,21 @@ def _knn_indices(pts, k):
             b = block.swapaxes(0, ax)
             block = (b[:-2] + b[1:-1] + b[2:]).swapaxes(0, ax)
         nxt = np.floor(extent / (0.8 * h)) + 1
-        if i == 16 or (occ * block).sum() <= 6 * k * n or math.prod(nxt) > n or all(nxt == ncell):
+        if (occ * block).sum() <= 6 * k * n or math.prod(nxt) > n or (nxt == ncell).all():
             break
         h *= 0.8
-    # sizing scratch, not held through the search; grid goes to the first pass
-    del key, occ, block, b
+        grid = _cells(xyzs[:3, :n].T, lo, extent, h)
+    del occ, block, b  # sizing scratch, not held through the search
 
     out = np.empty((n, k), dtype=np.intp)
-    # the first pass's rows are a temporary, so none of its 8 n bytes is
-    # held here through the search
-    todo = _grid_pass(xyzs, k, np.arange(n), out, lo, h, slack, grid)
+    # the first pass searches the sizing's last grid; its rows are a
+    # temporary, so none of their 8 n bytes is held here through the search,
+    # and no grid is held while the next is bucketed
+    todo = _grid_pass(xyzs, k, np.arange(n), out, lo, slack, grid)
+    del grid
     while todo.size * n > _KNN_BLOCK:
         h *= 2.0
-        grid = _cells(xyzs[:3, :n].T, lo, extent, h)
-        todo = _grid_pass(xyzs, k, todo, out, lo, h, slack, grid)
+        todo = _grid_pass(xyzs, k, todo, out, lo, slack, _cells(xyzs[:3, :n].T, lo, extent, h))
     # a few rows left: score them against all n points at once, as one cell
     # (q = 0) whose table is every index, so each row's self column is itself
     if todo.size:
@@ -174,16 +174,16 @@ def _spans(starts, counts):
 
 
 def _cells(pts, lo, extent, h):
-    """Grid shape, cell and flat cell key of each point, for cubic cells of side h."""
+    """Grid shape, cell and flat cell key of each point, and h, for cubic cells of side h."""
     ncell = np.floor(extent / h).astype(np.int64) + 1
     cell = np.minimum(np.floor((pts - lo) / h).astype(np.int64), ncell - 1)
-    return ncell, cell, (cell[:, 0] * ncell[1] + cell[:, 1]) * ncell[2] + cell[:, 2]
+    return ncell, cell, (cell[:, 0] * ncell[1] + cell[:, 1]) * ncell[2] + cell[:, 2], h
 
 
-def _grid_pass(xyzs, k, rows, out, lo, h, slack, grid):
-    """One search of `rows` on `grid`, _cells' cells of side h; returns the rejected rows."""
+def _grid_pass(xyzs, k, rows, out, lo, slack, grid):
+    """One search of `rows` on `grid`, a _cells result; returns the rejected rows."""
     n = xyzs.shape[1] - 1
-    ncell, cell, key = grid
+    ncell, cell, key, h = grid
     t = (xyzs[:3, :n].T - lo) / h  # cell-unit coordinates
     # squared distance from each point to the outside of its block, less
     # the slack; a side whose next cell is off the grid is infinitely far
@@ -362,8 +362,7 @@ def estimate_normals(points, k, sensor):
     :param sensor: sensor position, 3-vector under the same bound.
     :returns: NormalEstimate(vectors, degenerate).
     """
-    pts = _as_cloud(points)
-    sensor = _as_vec3(sensor, "sensor")
+    pts, sensor = _as_cloud(points), _as_vec3(sensor, "sensor")
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     n = len(pts)

@@ -77,11 +77,15 @@ MUTANTS = [
            "if not all(np.isfinite(column).all() for column in columns):",
            "if not all(np.isfinite(column).any() for column in columns):",
            (_WRITER + "test_writers_refuse_non_finite",)),
-    # a sizing loop that runs out hands the first pass the grid of the side
-    # before its last shrink, with the shrunk side
-    Mutant("knn-unbucketed-last-side", "noisebench/geometry.py",
-           "for i in range(17):", "for i in range(16):",
-           ("tests/test_geometry.py::test_knn_buckets_each_side_once",)),
+    # the sizing shrinks the side without bucketing it again, so it measures
+    # its first grid every step and hands that grid to the first pass
+    Mutant("knn-shrink-not-rebucketed", "noisebench/geometry.py",
+           "        h *= 0.8\n        grid = _cells(xyzs[:3, :n].T, lo, extent, h)\n",
+           "        h *= 0.8\n", ("tests/test_geometry.py::test_knn_buckets_each_side_once",)),
+    # a pass's cell-unit coordinates held through its search
+    Mutant("knn-coordinates-held", "noisebench/geometry.py",
+           "del t, below, above", "del below, above",
+           ("tests/test_geometry.py::test_knn_frees_grid_coordinates_before_search",)),
 ]
 
 

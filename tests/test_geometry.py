@@ -1,6 +1,7 @@
 """Tests for ranges, incidence cosines, and PCA normal estimation."""
 
 import hashlib
+import inspect
 import math
 import os
 import subprocess
@@ -8,7 +9,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -386,9 +386,9 @@ def test_knn_buckets_each_side_once(knn_clouds):
             calls.append(("cells", h))
             return cells(points, lo, extent, h)
 
-        def spy_pass(xyzs, k, rows, out, lo, h, slack, grid):
-            calls.append(("pass", h))
-            return grid_pass(xyzs, k, rows, out, lo, h, slack, grid)
+        def spy_pass(xyzs, k, rows, out, lo, slack, grid):
+            calls.append(("pass", grid[3]))
+            return grid_pass(xyzs, k, rows, out, lo, slack, grid)
 
         with mock.patch.object(geometry, "_cells", spy_cells), \
                 mock.patch.object(geometry, "_grid_pass", spy_pass):
@@ -487,26 +487,34 @@ def test_knn_remainder_boundary():
 
 
 def test_knn_frees_grid_coordinates_before_search():
-    # no (n, 3) float array from bucketing is alive while the first search
-    # scores candidates, so the kNN's peak holds no grid coordinates
-    cells, nearest_in = geometry._cells, geometry._nearest_in
+    # the (n, 3) float scratch of a pass's block bounds (cell-unit
+    # coordinates, distances below and above) is freed before the first
+    # search scores candidates, so the kNN's peak holds none of it: no
+    # numpy buffer allocated on those lines is alive then
+    code = geometry._grid_pass.__code__
+    lines = inspect.getsource(code).splitlines()
+    watched = {code.co_firstlineno + i for i, line in enumerate(lines)
+               if line.lstrip().startswith(("t = ", "below = ", "above = "))}
+    assert len(watched) == 3
+    nearest_in = geometry._nearest_in
     for pts in (unit_sphere_cloud(8192, seed=15), shapes.grid_plane(128, 64)):
-        returned, alive = [], []
-
-        def spy_cells(points, lo, extent, h):
-            grid = cells(points, lo, extent, h)
-            returned.extend(weakref.ref(a) for a in grid if a.shape == (len(pts), 3)
-                            and a.dtype.kind == "f")
-            return grid
+        alive = []
 
         def spy_nearest(*args):
             if not alive:
-                alive.append(sum(ref() is not None for ref in returned))
+                snap = tracemalloc.take_snapshot().filter_traces(
+                    [tracemalloc.Filter(True, geometry.__file__)])
+                alive.append(sum(trace.size for trace in snap.traces
+                                 if trace.domain == np.lib.tracemalloc_domain
+                                 and trace.traceback[0].lineno in watched))
             return nearest_in(*args)
 
-        with mock.patch.object(geometry, "_cells", spy_cells), \
-                mock.patch.object(geometry, "_nearest_in", spy_nearest):
-            _knn_indices(pts, 16)
+        tracemalloc.start()
+        try:
+            with mock.patch.object(geometry, "_nearest_in", spy_nearest):
+                _knn_indices(pts, 16)
+        finally:
+            tracemalloc.stop()
         assert alive == [0]
 
 
